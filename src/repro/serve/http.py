@@ -173,6 +173,15 @@ class _Handler(BaseHTTPRequestHandler):
         return "text/plain" in accept or "openmetrics" in accept
 
     def do_POST(self) -> None:  # noqa: N802
+        # Counted, so a graceful shutdown waits for this reply to be written
+        # (handler threads are daemons and die with the process).
+        self.server.track_reply(+1)
+        try:
+            self._route_post()
+        finally:
+            self.server.track_reply(-1)
+
+    def _route_post(self) -> None:
         if self.path == "/v1/stream":
             self._handle_stream()
             return
@@ -456,8 +465,14 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("trace-id", self._trace_id)
         if retry_after is not None:
             self.send_header("Retry-After", str(retry_after))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # no header block at all
+            self.wfile.write(body)
+            return
+        # Headers and body leave in one write (end_headers() would flush
+        # the headers alone): a kept-alive client's delayed ACK otherwise
+        # holds the body back by ~40 ms.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def log_message(self, format: str, *args) -> None:
         # Route access logs through logging instead of spamming stderr
@@ -495,6 +510,14 @@ class ServingServer(ThreadingHTTPServer):
             getattr(scheduler, "enforcer", None), "telemetry_config", None
         ) or TelemetryConfig()
         self._serve_thread: Optional[threading.Thread] = None
+        self._replies_pending = 0
+        self._replies_done = threading.Condition()
+
+    def track_reply(self, delta: int) -> None:
+        """Count POST replies in progress (see :meth:`shutdown_gracefully`)."""
+        with self._replies_done:
+            self._replies_pending += delta
+            self._replies_done.notify_all()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -513,6 +536,9 @@ class ServingServer(ThreadingHTTPServer):
             self.scheduler.start()
         self._serve_thread = threading.Thread(
             target=self.serve_forever,
+            # shutdown() waits up to one poll interval; the 0.5 s default
+            # made every graceful stop cost half a second.
+            kwargs={"poll_interval": 0.05},
             name="repro-serve-http",
             daemon=True,
         )
@@ -526,12 +552,17 @@ class ServingServer(ThreadingHTTPServer):
             thread.join(timeout=poll_interval)
 
     def shutdown_gracefully(self, drain: bool = True) -> None:
-        """Stop accepting connections, then drain the scheduler."""
+        """Stop accepting connections, drain the scheduler, then let every
+        handler that is answering a request finish writing its reply."""
         self.shutdown()
         self.server_close()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5)
         self.scheduler.stop(drain=drain)
+        with self._replies_done:
+            self._replies_done.wait_for(
+                lambda: self._replies_pending == 0, timeout=5
+            )
 
     def __enter__(self) -> "ServingServer":
         return self.start()

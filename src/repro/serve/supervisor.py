@@ -54,6 +54,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
+from multiprocessing import util as mp_util
 from typing import (
     Any,
     Callable,
@@ -103,6 +104,12 @@ BROKEN = "broken"  # breaker tripped; cooling down before half-open retry
 STOPPED = "stopped"  # exited cleanly during shutdown
 
 _LM_STAT_KEYS = ("records_completed", "lm_calls", "lm_rows")
+
+# The supervisor wakes on events (a submit, a stop, or a worker message);
+# this tick bounds its sleep only so the time-driven housekeeping --
+# liveness, restart backoff, breaker cooldown, deadline and cancellation
+# scans, rule-event broadcasts -- still runs when nothing happens.
+_TICK_S = 0.05
 
 
 @dataclass
@@ -331,6 +338,13 @@ class WorkerPool:
         self._ready_units: Deque[_PoolUnit] = deque()
         self._unit_ids = itertools.count(1)
         self._thread: Optional[threading.Thread] = None
+        # Self-pipe that wakes the supervisor out of its wait: submit() and
+        # stop() write one byte to ``_wake_w``.  Open
+        # only while the pool runs; the lock keeps a late writer from
+        # hitting a closed (possibly reused) fd number.
+        self._wake_lock = threading.Lock()
+        self._wake_r: Optional[int] = None
+        self._wake_w: Optional[int] = None
         self._stopping = False
         self._drain = True
         self._started_at: Optional[float] = None
@@ -387,6 +401,11 @@ class WorkerPool:
             raise RuntimeError("worker pool already started")
         self._started_at = time.monotonic()
         now = self._started_at
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
+        # Forked workers inherit every open fd; drop the wake pipe in them.
+        mp_util.register_after_fork(self, WorkerPool._after_fork)
         for handle in self._handles:
             self._spawn(handle, now)
         self._thread = threading.Thread(
@@ -400,6 +419,7 @@ class WorkerPool:
         self.queue.close(drain=drain)
         self._drain = drain
         self._stopping = True
+        self._wake()
         if self._thread is not None:
             self._thread.join(timeout)
 
@@ -445,7 +465,31 @@ class WorkerPool:
         request.rule_handle = handle
         self.queue.submit(request)  # raises QueueFull / ServerClosed
         self.submitted += 1
+        self._wake()
         return request
+
+    def _wake(self) -> None:
+        """Interrupt the supervisor's wait (any thread, never blocks)."""
+        with self._wake_lock:
+            if self._wake_w is None:
+                return
+            try:
+                os.write(self._wake_w, b"\0")
+            except BlockingIOError:
+                pass  # pipe full: a wake-up is already pending
+
+    def _close_wake(self) -> None:
+        with self._wake_lock:
+            for fd in (self._wake_r, self._wake_w):
+                if fd is not None:
+                    os.close(fd)
+            self._wake_r = self._wake_w = None
+
+    def _after_fork(self) -> None:
+        # Runs in a forked child, where another parent thread may have
+        # held the lock at fork time: replace it rather than wait on it.
+        self._wake_lock = threading.Lock()
+        self._close_wake()
 
     def _resolve_rule_set(self, spec: RequestSpec) -> Optional[RuleSetHandle]:
         """Pin the pack version this request will enforce (parent-side).
@@ -533,6 +577,7 @@ class WorkerPool:
             raise
         finally:
             self._shutdown_workers()
+            self._close_wake()
 
     def _drained(self) -> bool:
         if not self._drain:
@@ -878,23 +923,26 @@ class WorkerPool:
 
     # -- message handling --------------------------------------------------------
 
-    def _poll(self, timeout: float = 0.05) -> None:
+    def _poll(self) -> None:
+        """Wait for a worker message or a wake-up, at most one tick."""
         conns = {
             handle.conn: handle
             for handle in self._handles
             if handle.conn is not None and handle.state in (STARTING, READY)
         }
-        if not conns:
-            # Nothing to listen to (everything is backing off); nap briefly
-            # so restart deadlines and queue scans still tick.
-            time.sleep(min(timeout, 0.02))
-            return
+        # With every worker backing off, tick faster so restarts are prompt.
+        timeout = _TICK_S if conns else min(_TICK_S, 0.02)
         try:
-            readable = mp_connection.wait(list(conns), timeout=timeout)
+            readable = mp_connection.wait(
+                [self._wake_r, *conns], timeout=timeout
+            )
         except OSError:  # pragma: no cover -- a conn died mid-wait
             readable = []
         now = time.monotonic()
         for conn in readable:
+            if conn == self._wake_r:
+                os.read(conn, 1 << 16)  # drain: a pipe buffers at most 64 KiB
+                continue
             handle = conns[conn]
             while handle.conn is conn:
                 try:

@@ -16,10 +16,11 @@ and batch-mates therefore never change a request's bytes.
 from __future__ import annotations
 
 import itertools
+import logging
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from ..core.session import RecordOutcome
 from ..errors import DeadlineExceeded, RequestCancelled
@@ -47,6 +48,8 @@ EXPIRED = "expired"
 _TERMINAL = (DONE, FAILED, CANCELLED, EXPIRED)
 
 _request_ids = itertools.count(1)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -182,6 +185,7 @@ class ServeRequest:
         self._remaining = spec.count
         self._lock = threading.Lock()
         self._finished = threading.Event()
+        self._callbacks: List[Callable[["ServeRequest"], None]] = []
 
     # -- submitter-facing side -------------------------------------------------
 
@@ -226,6 +230,19 @@ class ServeRequest:
     @property
     def done(self) -> bool:
         return self._finished.is_set()
+
+    def add_done_callback(self, fn: Callable[["ServeRequest"], None]) -> None:
+        """Call ``fn(self)`` once, as soon as the request is terminal.
+
+        A callback registered on a live request runs on the thread that
+        terminates it, after the request's lock is released; on an
+        already-terminal request it runs at once on the caller's thread.
+        """
+        with self._lock:
+            if self.status not in _TERMINAL:
+                self._callbacks.append(fn)
+                return
+        self._run_callbacks([fn])
 
     @property
     def tenant(self) -> str:
@@ -280,8 +297,9 @@ class ServeRequest:
             self._remaining -= 1
             if self._remaining > 0:
                 return False
-            self._terminate(DONE)
-            return True
+            callbacks = self._terminate(DONE)
+        self._run_callbacks(callbacks)
+        return True
 
     def unit_outcomes(self) -> List[Optional[RecordOutcome]]:
         """The raw per-record outcomes so far (serving-internal side).
@@ -304,19 +322,31 @@ class ServeRequest:
             self.error = error
             self._cancel_requested = True  # reap in-flight sibling units
             if isinstance(error, DeadlineExceeded):
-                self._terminate(EXPIRED)
+                status = EXPIRED
             elif isinstance(error, RequestCancelled):
-                self._terminate(CANCELLED)
+                status = CANCELLED
             else:
-                self._terminate(FAILED)
-            return True
+                status = FAILED
+            callbacks = self._terminate(status)
+        self._run_callbacks(callbacks)
+        return True
 
     def mark_running(self) -> None:
         with self._lock:
             if self.status == QUEUED:
                 self.status = RUNNING
 
-    def _terminate(self, status: str) -> None:
+    def _terminate(self, status: str) -> List[Callable[["ServeRequest"], None]]:
+        """Enter ``status`` (under the lock); returns the callbacks to run."""
         self.status = status
         self.finished_at = time.monotonic()
         self._finished.set()
+        callbacks, self._callbacks = self._callbacks, []
+        return callbacks
+
+    def _run_callbacks(self, callbacks) -> None:
+        for fn in callbacks:
+            try:
+                fn(self)
+            except Exception:  # one bad callback must not starve the rest
+                logger.exception("done callback of request %d failed", self.id)

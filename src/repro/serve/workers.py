@@ -13,7 +13,9 @@ Internally a worker reuses the single-process
 the supervision tree is ``pool -> worker process -> in-process scheduler
 -> lanes``.  Each dispatched job is a one-record request pinned to its
 absolute record index via :attr:`RequestSpec.index_offset`, which is what
-makes replay placement-independent.
+makes replay placement-independent.  Results leave on events, not polls:
+each job's :meth:`ServeRequest.add_done_callback` sends its ``result`` or
+``err`` frame from the scheduler thread the moment the record settles.
 
 Wire protocol (pickled tuples over a ``multiprocessing.Pipe``):
 
@@ -40,6 +42,7 @@ cannot -- be pickled.  The parent rebuilds them via
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import os
 import threading
@@ -121,10 +124,11 @@ def resolve_error(type_name: str, message: str) -> ReproError:
 class _PipeSender:
     """Serialized, crash-tolerant sends over the worker's pipe end.
 
-    The heartbeat thread, the completer thread, and the main recv loop all
-    write to the same connection; a lock keeps frames whole.  Once the
-    parent is gone (EPIPE) there is nobody left to report to, so sends
-    become no-ops and the worker winds down instead of crashing noisily.
+    The heartbeat thread, the scheduler thread (via done callbacks), and
+    the main recv loop all write to the same connection; a lock keeps
+    frames whole.  Once the parent is gone (EPIPE) there is nobody left to
+    report to, so sends become no-ops and the worker winds down instead of
+    crashing noisily.
     """
 
     def __init__(self, conn):
@@ -147,11 +151,12 @@ class _PipeSender:
 def worker_main(conn, config: WorkerConfig) -> None:
     """Entry point of a worker process; returns only on shutdown.
 
-    Three threads cooperate: the main thread blocks on the pipe for
-    commands, a completer watches in-flight request handles and ships
-    results back, and a heartbeat thread proves liveness to the parent
-    (a worker wedged in native solver code stops heartbeating and gets
-    killed + replayed by the supervisor).
+    The main thread blocks on the pipe for commands and hands jobs to
+    the in-process scheduler; each job's done callback ships its result
+    from the scheduler thread the moment the record settles; a heartbeat
+    thread proves liveness to the parent (a worker wedged in native
+    solver code stops heartbeating and gets killed + replayed by the
+    supervisor).
     """
     sender = _PipeSender(conn)
     registry = MetricsRegistry()  # never the parent's process-global one
@@ -220,46 +225,27 @@ def worker_main(conn, config: WorkerConfig) -> None:
                 stopping.set()  # orphaned: parent died, stop proving liveness
                 return
 
-    def completer_loop() -> None:
-        # Handles finish on the scheduler thread; this thread just watches
-        # for terminal ones and ships them out.  Polling at a few hundred
-        # Hz costs nothing next to an LM step and avoids a per-job thread.
-        while True:
-            with inflight_lock:
-                done = [
-                    (unit_id, handle)
-                    for unit_id, handle in inflight.items()
-                    if handle.done
-                ]
-                for unit_id, _ in done:
-                    del inflight[unit_id]
-            for unit_id, handle in done:
-                if handle.status == DONE:
-                    outcome = handle.unit_outcomes()[0]
-                    sender.send(
-                        ("result", unit_id, outcome_to_wire(outcome))
-                    )
-                else:
-                    error = handle.error
-                    sender.send((
-                        "err",
-                        unit_id,
-                        type(error).__name__ if error else "ReproError",
-                        str(error) if error else handle.status,
-                    ))
-            if stopping.is_set():
-                with inflight_lock:
-                    if not inflight:
-                        return
-            time.sleep(0.005)
+    def ship(unit_id: int, handle: ServeRequest) -> None:
+        # A done callback: runs on whichever thread terminated the handle
+        # (normally the scheduler's), so each result leaves the moment its
+        # record settles.
+        with inflight_lock:
+            del inflight[unit_id]
+        if handle.status == DONE:
+            outcome = handle.unit_outcomes()[0]
+            sender.send(("result", unit_id, outcome_to_wire(outcome)))
+        else:
+            error = handle.error
+            sender.send((
+                "err",
+                unit_id,
+                type(error).__name__ if error else "ReproError",
+                str(error) if error else handle.status,
+            ))
 
     threading.Thread(
         target=heartbeat_loop, name="repro-worker-heartbeat", daemon=True
     ).start()
-    completer = threading.Thread(
-        target=completer_loop, name="repro-worker-completer", daemon=True
-    )
-    completer.start()
     sender.send(("ready", os.getpid()))
 
     try:
@@ -282,6 +268,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
                     continue
                 with inflight_lock:
                     inflight[unit_id] = handle
+                handle.add_done_callback(functools.partial(ship, unit_id))
             elif kind == "cancel":
                 _, unit_id = message
                 with inflight_lock:
@@ -303,9 +290,10 @@ def worker_main(conn, config: WorkerConfig) -> None:
                     "worker %d: unknown message %r", config.worker_id, kind
                 )
     finally:
-        # Drain: finish what was dispatched, flush results, then report.
+        # Drain: finish what was dispatched (each result ships from its
+        # done callback on the scheduler thread, which stop() joins), then
+        # report.
         stopping.set()
-        completer.join(timeout=30)
         scheduler.stop(drain=True, timeout=30)
         OBS.disable()  # flush + close this worker's span sink
         sender.send(("bye", stats()))

@@ -15,6 +15,7 @@ from .faults import (
     kill_worker,
     resume_worker,
     stall_worker,
+    wait_for_sentinel_pid,
 )
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "CrashingLM",
     "StallingOracle",
     "FlakyStreamSource",
+    "wait_for_sentinel_pid",
     "kill_worker",
     "stall_worker",
     "resume_worker",

@@ -60,6 +60,7 @@ __all__ = [
     "CrashingLM",
     "StallingOracle",
     "FlakyStreamSource",
+    "wait_for_sentinel_pid",
     "kill_worker",
     "stall_worker",
     "resume_worker",
@@ -162,10 +163,16 @@ class CrashingLM:
     decode step, so the supervisor's replay path is exercised
     deterministically.
 
+    With ``hold_s`` set, the scheduled call instead *holds* -- sleeps that
+    long mid-record, then carries on -- so a chaos test can kill or stall
+    the worker from outside while a record is provably in flight (wait for
+    the sentinel with :func:`wait_for_sentinel_pid`).
+
     The schedule is consumed per instance: a replacement worker (or a
     retried record) builds a fresh model state but the *same* schedule, so
     pair ``exit_code`` crashes with a ``crash_once_path`` sentinel file --
-    the first firing creates it, later instances see it and stay healthy.
+    the first firing creates it (atomically, holding the firing pid), later
+    instances see it and stay healthy.
     """
 
     def __init__(
@@ -174,29 +181,37 @@ class CrashingLM:
         crash_at: Iterable[int],
         exit_code: Optional[int] = None,
         crash_once_path: Optional[str] = None,
+        hold_s: Optional[float] = None,
     ):
         self._model = model
         self.crash_at: FrozenSet[int] = frozenset(int(i) for i in crash_at)
         self.exit_code = exit_code
         self.crash_once_path = crash_once_path
+        self.hold_s = hold_s
         self.calls = 0
         self.tokenizer = model.tokenizer
 
-    def _disarmed(self) -> bool:
+    def _arm_once(self) -> bool:
+        """Claim the sentinel for this pid; False if an earlier firing did."""
         if self.crash_once_path is None:
+            return True
+        try:
+            fd = os.open(
+                self.crash_once_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
+            )
+        except FileExistsError:
             return False
-        return os.path.exists(self.crash_once_path)
-
-    def _arm_once(self) -> None:
-        if self.crash_once_path is not None:
-            with open(self.crash_once_path, "w") as handle:
-                handle.write(str(os.getpid()))
+        with os.fdopen(fd, "w") as handle:
+            handle.write(str(os.getpid()))
+        return True
 
     def next_distribution(self, prefix_ids: Sequence[int], **kwargs) -> np.ndarray:
         index = self.calls
         self.calls += 1
-        if index in self.crash_at and not self._disarmed():
-            self._arm_once()
+        if index in self.crash_at and self._arm_once():
+            if self.hold_s is not None:
+                time.sleep(self.hold_s)
+                return self._model.next_distribution(prefix_ids, **kwargs)
             if self.exit_code is not None:
                 os._exit(self.exit_code)
             raise InjectedFault(
@@ -347,6 +362,19 @@ class FlakyStreamSource:
 # ``repro.serve.workers.WorkerConfig`` / ``repro.serve.supervisor.WorkerPool``):
 # the worker sleeps before reporting ready, which exercises the
 # supervisor's startup timeout separately from liveness.
+
+
+def wait_for_sentinel_pid(path: str, timeout: float = 60.0) -> int:
+    """Block until a :class:`CrashingLM` sentinel holds its firing pid."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            with open(path) as handle:
+                return int(handle.read())
+        except (FileNotFoundError, ValueError):  # not fired, or mid-write
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"{path} was never armed")
+            time.sleep(0.002)
 
 
 def kill_worker(pid: int) -> None:

@@ -1,6 +1,8 @@
 """HTTP front-end tests over a real loopback socket (ephemeral port)."""
 
+import http.client
 import json
+import socketserver
 import urllib.request
 
 import pytest
@@ -134,3 +136,38 @@ class TestErrorMapping:
         status, payload = _post_raw(server, "/v1/synthesize", b"")
         assert status == 400
         assert "empty" in payload["error"]
+
+
+class TestKeepAlive:
+    def test_each_response_leaves_in_one_write(self, server, monkeypatch):
+        """Headers and body share one socket write, so a kept-alive
+        client's delayed ACK cannot hold the body back."""
+        writes = []
+        original = socketserver._SocketWriter.write
+
+        def counting_write(self, data):
+            writes.append(bytes(data))
+            return original(self, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", counting_write)
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            conn.request("GET", "/healthz")
+            first = conn.getresponse()
+            assert json.loads(first.read())["status"] == "ok"
+            sock = conn.sock
+            for seed in (3, 4):
+                conn.request(
+                    "POST", "/v1/synthesize",
+                    body=json.dumps({"count": 1, "seed": seed}),
+                    headers={"Content-Type": "application/json"},
+                )
+                reply = conn.getresponse()
+                assert reply.status == 200
+                assert len(json.loads(reply.read())["records"]) == 1
+            assert conn.sock is sock  # one kept-alive connection throughout
+        finally:
+            conn.close()
+        assert len(writes) == 3
+        assert all(w.startswith(b"HTTP/1.1 200") for w in writes)

@@ -5,7 +5,6 @@ including across a worker crash mid-stream.
 """
 
 import threading
-import time
 
 import pytest
 
@@ -30,7 +29,12 @@ from repro.stream import (
     mine_stream_rules,
     stream_bounds,
 )
-from repro.testing import FlakyStreamSource, kill_worker
+from repro.testing import (
+    CrashingLM,
+    FlakyStreamSource,
+    kill_worker,
+    wait_for_sentinel_pid,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +59,9 @@ def setting():
     return dataset, model, rules, events
 
 
-def _enforcer(setting, seed=13):
-    dataset, model, rules, _ = setting
+def _enforcer(setting, seed=13, model=None):
+    dataset, default_model, rules, _ = setting
+    model = default_model if model is None else model
     return JitEnforcer(
         model, rules, dataset.config, EnforcerConfig(seed=seed),
         fallback_rules=[domain_bound_rules(dataset.config)],
@@ -189,12 +194,19 @@ class TestWorkerPoolStream:
             )
         assert lines == serial
 
-    def test_worker_kill_mid_stream_keeps_byte_parity(self, setting):
+    def test_worker_kill_mid_stream_keeps_byte_parity(
+        self, setting, tmp_path
+    ):
         dataset, model, rules, events = setting
         serial = _serial_lines(setting, events)
+        # The stream's home worker holds one LM call a few records in, so
+        # the kill lands while a record is in flight on it.
+        sentinel = str(tmp_path / "hold-once")
 
         def factory():
-            return _enforcer(setting)
+            return _enforcer(setting, model=CrashingLM(
+                model, crash_at={150}, hold_s=60.0, crash_once_path=sentinel
+            ))
 
         with WorkerPool(
             factory, workers=2, lanes_per_worker=2, backoff_base=0.05
@@ -207,10 +219,7 @@ class TestWorkerPoolStream:
             killed = threading.Event()
 
             def assassin():
-                time.sleep(0.3)  # well inside the 30-record stream
-                pid = pool.worker_pids()[0]
-                if pid is not None:
-                    kill_worker(pid)
+                kill_worker(wait_for_sentinel_pid(sentinel))
                 killed.set()
 
             thread = threading.Thread(target=assassin)

@@ -17,9 +17,14 @@ from repro.errors import WorkerCrashed, WorkerPoolUnavailable
 from repro.lm import NgramLM
 from repro.obs import MetricsRegistry
 from repro.rules import domain_bound_rules, paper_rules
-from repro.serve import RequestSpec, WorkerPool
+from repro.serve import RequestSpec, WorkerPool, supervisor
 from repro.serve.types import DONE, FAILED
-from repro.testing import CrashingLM, kill_worker, stall_worker
+from repro.testing import (
+    CrashingLM,
+    kill_worker,
+    stall_worker,
+    wait_for_sentinel_pid,
+)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +53,14 @@ def _factory(dataset, model, rules, seed=13, wrap=None):
 def _serial_records(dataset, model, rules, seed, count):
     serial = _factory(dataset, model, rules, seed=seed)()
     return [dict(serial.synthesize_record().values) for _ in range(count)]
+
+
+def _hold_once(sentinel):
+    """LM wrap that holds one worker mid-record until the test acts on the
+    pid ``wait_for_sentinel_pid(sentinel)`` returns."""
+    return lambda model: CrashingLM(
+        model, crash_at={10}, hold_s=60.0, crash_once_path=sentinel
+    )
 
 
 def _wait_healthy(pool, target, timeout=60.0):
@@ -102,11 +115,12 @@ class TestPoolParity:
 
 
 class TestCrashRecovery:
-    def test_sigkill_mid_run_replays_byte_identical(self, setting):
-        """ISSUE acceptance: kill a worker, lose nothing, bytes identical."""
+    def test_sigkill_mid_run_replays_byte_identical(self, setting, tmp_path):
+        """Kill a worker, lose nothing, bytes identical."""
         dataset, model, rules = setting
+        sentinel = str(tmp_path / "hold-once")
         with WorkerPool(
-            _factory(dataset, model, rules),
+            _factory(dataset, model, rules, wrap=_hold_once(sentinel)),
             workers=2,
             lanes_per_worker=2,
             backoff_base=0.05,
@@ -116,11 +130,8 @@ class TestCrashRecovery:
                 pool.submit(RequestSpec("synthesize", count=3, seed=400 + i))
                 for i in range(4)
             ]
-            # Kill one worker while the work is genuinely in flight.
-            time.sleep(0.05)
-            pid = pool.worker_pids()[0]
-            if pid is not None:
-                kill_worker(pid)
+            # Kill the worker holding a record: the work is in flight.
+            kill_worker(wait_for_sentinel_pid(sentinel))
             results = [h.result(timeout=120) for h in handles]
             assert _wait_healthy(pool, 2, timeout=30)
             assert pool.worker_crashes >= 1
@@ -155,12 +166,16 @@ class TestCrashRecovery:
         assert os.path.exists(sentinel)  # the scheduled crash really fired
         assert result.records == reference
 
-    def test_stalled_worker_is_killed_and_work_replayed(self, setting):
+    def test_stalled_worker_is_killed_and_work_replayed(
+        self, setting, tmp_path
+    ):
         """SIGSTOP freezes heartbeats without closing the pipe: only the
-        liveness timeout can catch it."""
+        liveness timeout can catch it.  A held LM call pins a record in
+        flight on the victim, so the stall lands mid-record."""
         dataset, model, rules = setting
+        sentinel = str(tmp_path / "hold-once")
         with WorkerPool(
-            _factory(dataset, model, rules),
+            _factory(dataset, model, rules, wrap=_hold_once(sentinel)),
             workers=2,
             lanes_per_worker=2,
             liveness_timeout=0.5,
@@ -171,10 +186,7 @@ class TestCrashRecovery:
                 pool.submit(RequestSpec("synthesize", count=2, seed=500 + i))
                 for i in range(3)
             ]
-            time.sleep(0.03)
-            pid = pool.worker_pids()[0]
-            if pid is not None:
-                stall_worker(pid)
+            stall_worker(wait_for_sentinel_pid(sentinel))
             results = [h.result(timeout=120) for h in handles]
             assert pool.worker_crashes >= 1
         for i, result in enumerate(results):
@@ -324,3 +336,61 @@ class TestDrainAndObservability:
         assert health["workers_healthy"] == 2
         assert len(health["worker_states"]) == 2
         assert all(w["state"] == "ready" for w in health["worker_states"])
+
+
+class TestEventDrivenWakeups:
+    """The supervisor wakes on submit, stop and worker messages -- never
+    by waiting out its housekeeping tick."""
+
+    def test_round_trip_does_not_wait_for_the_tick(self, setting, monkeypatch):
+        # With the tick and the heartbeats at 10 s, only the submit wake-up
+        # and the worker's result message can move the request along.
+        monkeypatch.setattr(supervisor, "_TICK_S", 10.0)
+        dataset, model, rules = setting
+        reference = _serial_records(dataset, model, rules, seed=61, count=2)
+        pool = WorkerPool(
+            _factory(dataset, model, rules),
+            workers=1,
+            lanes_per_worker=2,
+            heartbeat_interval=10.0,
+            liveness_timeout=60.0,
+        )
+        with pool:
+            assert _wait_healthy(pool, 1)
+            started = time.monotonic()
+            result = pool.synthesize(count=2, seed=61, wait_timeout=30)
+            round_trip = time.monotonic() - started
+            started = time.monotonic()
+        stop = time.monotonic() - started
+        assert result.records == reference
+        assert round_trip < 1.0
+        assert stop < 2.0  # stop() wakes the supervisor too
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc fd listing"
+    )
+    def test_start_stop_cycles_leak_no_fds(self, setting):
+        dataset, model, rules = setting
+
+        def cycle():
+            with WorkerPool(
+                _factory(dataset, model, rules), workers=1, lanes_per_worker=1
+            ) as pool:
+                assert _wait_healthy(pool, 1)
+                wake = os.fstat(pool._wake_r)
+                pid = pool.worker_pids()[0]
+                child_files = {
+                    (st.st_dev, st.st_ino)
+                    for st in (
+                        os.stat(f"/proc/{pid}/fd/{fd}")
+                        for fd in os.listdir(f"/proc/{pid}/fd")
+                    )
+                }
+            # The forked worker dropped its inherited copy of the wake pipe.
+            assert (wake.st_dev, wake.st_ino) not in child_files
+
+        cycle()  # warm-up: first use may open long-lived fds lazily
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            cycle()
+        assert len(os.listdir("/proc/self/fd")) <= before
