@@ -17,8 +17,9 @@ Rules of the gate:
   ``--tolerance`` relative *and* must exceed an absolute noise floor
   (``--floor-ms``) before they count -- sub-millisecond jitter on a
   2 ms p50 is not a regression.
-- **Higher-better rates** (``throughput_rps``, ``emitted_per_sec``) may
-  shrink by at most ``--tolerance`` relative.
+- **Higher-better rates** (``throughput_rps``, ``emitted_per_sec``,
+  decode ``lm_tokens_per_sec``/``records_per_sec`` per window and per
+  lane count) may shrink by at most ``--tolerance`` relative.
 - **Boolean / counter checks** have no band: ``replay_parity`` and
   ``bounded`` must not flip false, ``boundary_violations`` and
   ``units_lost``/``failed`` must not increase.
@@ -207,9 +208,11 @@ def compare_decode(base: Mapping, cand: Mapping, tolerance: float,
     """Decode + mask-table report: BENCH_decode.json shape.
 
     ``windows`` rows carry the KV-cache story (tokens/s and rec/s per
-    decode mode, speedups); the ``mask`` section carries the compiled
-    mask-table story per oracle config.  Byte parity never gets a band:
-    a parity flip is a correctness bug wearing a perf costume.
+    decode mode, speedups); the ``lanes`` section the batched-decode
+    curve (tokens/s and rec/s per lane count); the ``mask`` section
+    carries the compiled mask-table story per oracle config.  Byte parity
+    never gets a band: a parity flip is a correctness bug wearing a perf
+    costume.
     """
     findings: List[Finding] = []
     matched = 0
@@ -234,6 +237,26 @@ def compare_decode(base: Mapping, cand: Mapping, tolerance: float,
         c_par = cand_row.get("parity") == "byte-identical"
         findings.append(Finding(where, "parity", base_row.get("parity"),
                                 cand_row.get("parity"), b_par and not c_par,
+                                note="must stay byte-identical"))
+    base_lanes, cand_lanes = base.get("lanes") or {}, cand.get("lanes") or {}
+    cand_counts = cand_lanes.get("rows", {})
+    for count, base_row in base_lanes.get("rows", {}).items():
+        cand_row = cand_counts.get(count)
+        where = f"decode(lanes={count})"
+        if cand_row is None:
+            findings.append(Finding(where, "<config>", "present", "missing",
+                                    False, note="not run by candidate"))
+            continue
+        matched += 1
+        for metric in DECODE_HIGHER_BETTER:
+            _check_higher(findings, where, metric, base_row, cand_row,
+                          tolerance)
+    if base_lanes and cand_lanes:
+        b_par = base_lanes.get("parity") == "byte-identical"
+        c_par = cand_lanes.get("parity") == "byte-identical"
+        findings.append(Finding("decode(lanes)", "parity",
+                                base_lanes.get("parity"),
+                                cand_lanes.get("parity"), b_par and not c_par,
                                 note="must stay byte-identical"))
     base_mask, cand_mask = base.get("mask") or {}, cand.get("mask") or {}
     cand_oracles = cand_mask.get("oracles", {})

@@ -470,6 +470,79 @@ def run_decode_bench(windows=(5, 12, 16, 20), modes=("full", "incremental"),
     return report
 
 
+# The lanes sweep's one workload (CI smoke and full run alike, so the
+# committed rows compare directly): lane counts, syntheses per engine run,
+# and the telemetry window of the synthesized records.
+LANE_COUNTS = (1, 2, 4, 8, 16)
+LANE_RECORDS = 32
+LANE_WINDOW = 16
+
+
+def run_lanes_sweep(trials=3, seed=5):
+    """TinyGPT throughput by lane count through the batched engine.
+
+    Per lane count: ``lm_tokens_per_sec`` teacher-forces ``lanes`` real
+    records' token ids through cached ``next_distributions`` one lock-step
+    at a time (the engine's call pattern, solver excluded), and
+    ``records_per_sec`` is enforced synthesis through
+    ``EnforcementEngine(batch_size=lanes)``.  Records must be byte-identical
+    at every lane count, else :class:`DecodeParityError`.
+    """
+    config = TelemetryConfig(window=LANE_WINDOW)
+    dataset = build_dataset(
+        num_train_racks=2, num_test_racks=1, windows_per_rack=24,
+        config=config, seed=seed,
+    )
+    rules = paper_rules(config)
+    fallback = [domain_bound_rules(config)]
+    texts = [record_text(w) for w in dataset.test_windows()]
+    rows, outputs = {}, {}
+    for count in LANE_COUNTS:
+        model = TransformerLM(TransformerConfig(seed=11))
+        id_rows = [model.tokenizer.encode(texts[i % len(texts)])
+                   for i in range(count)]
+        steps = min(len(ids) for ids in id_rows) - 1
+        best_lm = 0.0
+        for _ in range(trials):
+            cache = model.new_kv_cache(count)
+            start = time.perf_counter()
+            for position in range(1, steps + 1):
+                model.next_distributions(
+                    [ids[:position] for ids in id_rows], cache=cache
+                )
+            best_lm = max(best_lm,
+                          count * steps / (time.perf_counter() - start))
+        best_e2e = 0.0
+        for _ in range(trials):
+            _clear_process_memos(model)
+            engine = EnforcementEngine(
+                JitEnforcer(
+                    TransformerLM(TransformerConfig(seed=11)), rules, config,
+                    EnforcerConfig(seed=13), fallback_rules=fallback,
+                ),
+                batch_size=count,
+            )
+            start = time.perf_counter()
+            outputs[count] = [
+                o.values for o in engine.synthesize_many(LANE_RECORDS)
+            ]
+            best_e2e = max(best_e2e,
+                           LANE_RECORDS / (time.perf_counter() - start))
+        rows[str(count)] = {
+            "lm_tokens_per_sec": round(best_lm, 1),
+            "records_per_sec": round(best_e2e, 2),
+        }
+    reference = outputs[LANE_COUNTS[0]]
+    for count, values in outputs.items():
+        if values != reference:
+            raise DecodeParityError(
+                f"lanes={count}: records diverged from "
+                f"lanes={LANE_COUNTS[0]} at the same seed"
+            )
+    return {"records": LANE_RECORDS, "window": LANE_WINDOW, "rows": rows,
+            "parity": "byte-identical"}
+
+
 def _format_decode(report):
     lines = ["Decode-mode bench: incremental (KV cache) vs full re-encode",
              ""]
@@ -487,6 +560,14 @@ def _format_decode(report):
         row += (f"{entry.get('lm_speedup', 0.0):>12.2f}"
                 f"{entry.get('parity', 'n/a'):>16s}")
         lines.append(row)
+    lanes = report.get("lanes")
+    if lanes:
+        lines += ["", f"Lanes sweep: TinyGPT, {lanes['records']} syntheses "
+                  f"through the engine (parity {lanes['parity']})",
+                  f"{'lanes':>7s}{'lm tok/s':>12s}{'rec/s':>10s}"]
+        for count, stats in lanes["rows"].items():
+            lines.append(f"{count:>7s}{stats['lm_tokens_per_sec']:>12.1f}"
+                         f"{stats['records_per_sec']:>10.2f}")
     return "\n".join(lines)
 
 
@@ -538,9 +619,11 @@ if __name__ == "__main__":
         if cli_args.size == "small":
             result = run_decode_bench(windows=(16,), modes=modes,
                                       records=8, trials=2)
+            result["lanes"] = run_lanes_sweep(trials=2)
             result["mask"] = run_mask_bench(records=60, trials=2)
         else:
             result = run_decode_bench(modes=modes)
+            result["lanes"] = run_lanes_sweep()
             result["mask"] = run_mask_bench()
         print(_format_decode(result))
         print()

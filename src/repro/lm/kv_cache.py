@@ -10,9 +10,12 @@ the new token: O(1) in prefix length.
 Rows are the unit of ownership: the serial enforcer owns row 0 of a
 one-row cache, the batched engine and the serving scheduler give each lane
 its own row of a pool-sized cache.  A row is never shared across
-concurrent sessions, and the model computes every row independently (no
-cross-row padding), which is what makes cached decoding byte-identical
-across batch sizes and drivers.
+concurrent sessions.  The model decodes the rows of a lock-step in
+batched kernel calls, but a row's bits never depend on its batch-mates:
+each row attends over the fixed ``max_len`` window (positions past its end
+masked out), and the dense layers run as gemms of 2 to 16 rows, whose
+rows BLAS computes independently of the row count.  That is what makes
+cached decoding byte-identical across batch sizes and drivers.
 
 Reuse is prefix-keyed, not session-keyed: on every lookup the model asks
 :meth:`match` for the longest common prefix between the row's stored ids
@@ -55,12 +58,18 @@ class KVCache:
             raise ValueError("cache needs at least one row")
         self.rows = rows
         self.max_len = max_len
-        # (rows, layers, heads, positions, head_dim); float32 to match the
-        # model's parameters.  ~rows * layers * heads * max_len * head_dim
-        # * 2 * 4 bytes -- e.g. 16 lanes at the default config is ~12 MiB.
-        shape = (rows, n_layers, n_heads, max_len, head_dim)
-        self.keys = np.zeros(shape, dtype=np.float32)
-        self.values = np.zeros(shape, dtype=np.float32)
+        # Values are (rows, layers, heads, positions, head_dim); keys are
+        # stored transposed, (rows, layers, heads, head_dim, positions), so
+        # attention scores are one (1, hd) @ (hd, P) product per head.
+        # float32 to match the model's parameters.  ~rows * layers * heads
+        # * max_len * head_dim * 2 * 4 bytes -- e.g. 16 lanes at the
+        # default config is ~12 MiB.
+        self.keys = np.zeros(
+            (rows, n_layers, n_heads, head_dim, max_len), dtype=np.float32
+        )
+        self.values = np.zeros(
+            (rows, n_layers, n_heads, max_len, head_dim), dtype=np.float32
+        )
         self.ids = np.zeros((rows, max_len), dtype=np.int64)
         self.lengths = np.zeros(rows, dtype=np.int64)
         # -- counters (one lookup = one hit or one miss) -----------------------
@@ -114,17 +123,20 @@ class KVCache:
         for row in range(self.rows):
             self.invalidate(row)
 
-    def commit(self, row: int, token_id: int) -> None:
-        """Record that the model appended one token's K/V at the row's end.
+    def commit(self, rows, token_ids) -> None:
+        """Record that the model appended one token's K/V at each row's end.
 
-        The model writes the K/V arrays directly (it owns the layout);
-        commit just advances the bookkeeping so :meth:`match` sees it.
+        ``rows``/``token_ids`` are a row and a token, or an array (or
+        slice) of distinct rows and an equal-length array of their
+        tokens.  The model writes the K/V arrays directly (it owns the
+        layout); commit just advances the bookkeeping so :meth:`match`
+        sees it.
         """
-        position = int(self.lengths[row])
-        if position >= self.max_len:
+        positions = self.lengths[rows]
+        if positions.max() >= self.max_len:
             raise ValueError("cache row is full; caller must fall back")
-        self.ids[row, position] = token_id
-        self.lengths[row] = position + 1
+        self.ids[rows, positions] = token_ids
+        self.lengths[rows] = positions + 1
 
     # -- accounting -------------------------------------------------------------
 

@@ -4,41 +4,44 @@ Architecture mirrors GPT-2 at miniature scale: learned token + position
 embeddings, pre-norm blocks with causal multi-head self-attention and a GELU
 MLP, weight-tied output head.  Built entirely on :mod:`repro.autograd`.
 
-Inference never touches the autograd tape.  ``forward`` remains the
-training path (builds the reverse-mode graph); ``next_distribution`` and
-``next_distributions`` run one of two pure-numpy fast paths instead:
+Inference never touches the autograd tape (nor the module tree's
+train/eval flags: the graph-free kernels read neither).  ``forward``
+remains the training path (builds the reverse-mode graph);
+``next_distribution`` and ``next_distributions`` run one of two pure-numpy
+fast paths instead:
 
 * :meth:`TransformerLM._forward_data` -- the *full* path: vectorized over
   (B, T) like ``forward`` and numerically **bit-identical** to it (every
   kernel mirrors the exact numpy expressions the autograd ops execute,
   down to float32 scalar wrapping), just without allocating ``Tensor``
   nodes per op.
-* :meth:`TransformerLM.forward_incremental` -- the *incremental* path:
-  per-lane, per-token kernels over a :class:`~repro.lm.kv_cache.KVCache`,
-  computing Q/K/V only for new tokens and attending against cached keys.
-  O(1) work per step in prefix length instead of O(T).
+* :meth:`TransformerLM.forward_incremental` -- the *incremental* path over
+  a :class:`~repro.lm.kv_cache.KVCache`: every row's pending tokens run
+  through one batched step kernel per lock-step, computing Q/K/V only for
+  new tokens and attending against cached keys.  O(1) work per step in
+  prefix length instead of O(T).
 
-The incremental path is intentionally **per-lane**: each row is decoded
-by 1-D/one-token kernels that never see its batch-mates, so cached
-decoding is bitwise-reproducible at any batch size and across the serial
-/ batched / serving drivers.  It is *not* bit-identical to the vectorized
-full path -- BLAS reduction order depends on matrix shape, so a sliced
-matmul already differs from a row of the batched one in the last ulp --
-but the two agree to float32 roundoff and, at fixed seeds, produce
-byte-identical enforced records (asserted in tests/lm/test_kv_cache.py
-and benchmarks/bench_scaling.py).
+The incremental path is **batch-invariant**: a row's logits are bitwise
+the same whether it is decoded alone or with any set of batch-mates, so
+cached decoding is reproducible across the serial / batched / serving
+drivers.  Attention runs each row over the fixed ``max_len`` window, and
+the dense layers run as gemms of 2 to 16 rows, whose rows BLAS computes
+independently of the row count (a lone row is padded, a wider lock-step
+is split).  It is *not* bit-identical to the vectorized full path -- BLAS
+reduction order depends on matrix shape -- but the two agree to float32
+roundoff and, at fixed seeds, produce byte-identical enforced records
+(asserted in tests/lm/test_kv_cache.py and benchmarks/bench_scaling.py).
 """
 
 from __future__ import annotations
 
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autograd import Dropout, Embedding, LayerNorm, Linear, Module, Tensor, no_grad
+from ..autograd import Dropout, Embedding, LayerNorm, Linear, Module, Tensor
 from .kv_cache import KVCache
 from .tokenizer import CharTokenizer
 
@@ -50,6 +53,15 @@ __all__ = ["TransformerConfig", "TransformerLM"]
 # fresh (T, T) allocation was measurable.  Bounded in practice by max_len.
 _CAUSAL_MASKS: Dict[int, np.ndarray] = {}
 
+# Additive attention masks for the decode kernel, memoized by window
+# length: row p is +0 up to position p (a live score keeps its bits) and
+# -1e9 past it (as in _forward_data), which weighs exactly 0 after softmax.
+_MASK_BIASES: Dict[int, np.ndarray] = {}
+
+# Most rows one decode-step kernel call takes: the batch-invariance of its
+# dense layers is checked for sgemms of 2 to this many rows.
+_STEP_ROWS = 16
+
 
 def _causal_mask(seq: int) -> np.ndarray:
     mask = _CAUSAL_MASKS.get(seq)
@@ -58,6 +70,15 @@ def _causal_mask(seq: int) -> np.ndarray:
         mask.setflags(write=False)
         _CAUSAL_MASKS[seq] = mask
     return mask
+
+
+def _mask_bias(seq: int) -> np.ndarray:
+    bias = _MASK_BIASES.get(seq)
+    if bias is None:
+        bias = np.where(_causal_mask(seq), np.float32(-1e9), np.float32(0))
+        bias.setflags(write=False)
+        _MASK_BIASES[seq] = bias
+    return bias
 
 
 @dataclass
@@ -122,12 +143,13 @@ def _layer_norm_data(
     """Bit-exact mirror of ``LayerNorm.forward`` on raw arrays.
 
     ``Tensor.mean`` is ``sum * (1/count)`` with the scalar wrapped to
-    float32, and the autograd ``x - mu`` lowers to ``x + (-mu)`` -- both
-    reproduce here so the graph-free path matches ``forward()`` bitwise.
+    float32, reproduced here so the graph-free path matches ``forward()``
+    bitwise.  The autograd ``x - mu`` lowers to ``x + (-mu)``, which IEEE
+    754 defines to be exactly ``x - mu``, so one subtraction stands in.
     """
     count = np.float32(1.0 / float(x.shape[-1]))
     mu = x.sum(axis=-1, keepdims=True) * count
-    centered = x + (-mu)
+    centered = x - mu
     var = (centered * centered).sum(axis=-1, keepdims=True) * count
     normalized = centered * ((var + np.float32(eps)) ** -0.5)
     return normalized * gain + shift
@@ -139,6 +161,21 @@ def _gelu_data(x: np.ndarray) -> np.ndarray:
     inner = c * (x + 0.044715 * x**3)
     t = np.tanh(inner)
     return 0.5 * x * (1.0 + t)
+
+
+_GELU_C = np.float32(np.sqrt(2.0 / np.pi))
+
+
+def _gelu_step(x: np.ndarray) -> np.ndarray:
+    """:func:`_gelu_data` for the decode kernel, cubing by multiplication.
+
+    numpy's float32 ``x**3`` goes through ``powf``, which cost over a
+    third of a batched decode step; ``x*x*x`` is ~60x cheaper and differs
+    only in the last bits (the full path keeps ``_gelu_data`` so it stays
+    bitwise equal to ``forward()``).
+    """
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
+    return 0.5 * x * (1.0 + np.tanh(inner))
 
 
 class TransformerLM(Module):
@@ -183,25 +220,6 @@ class TransformerLM(Module):
         return self.head(self.ln_final(x))
 
     # -- inference plumbing ------------------------------------------------------
-
-    @contextmanager
-    def _inference(self):
-        """no_grad + eval for the duration of one inference call.
-
-        Hoisted out of next_distribution/next_distributions, which used to
-        toggle ``self.eval()``/``self.train()`` (a full module-tree walk,
-        twice) on *every* decode step.  The walk now only happens in the
-        rare case the model is actually in training mode.
-        """
-        with no_grad():
-            was_training = self.training
-            if was_training:
-                self.eval()
-            try:
-                yield
-            finally:
-                if was_training:
-                    self.train()
 
     def _block_weights(self, block: Block):
         attn = block.attn
@@ -279,7 +297,7 @@ class TransformerLM(Module):
             x = x + ((_gelu_data((h2 @ w_fc) + b_fc) @ w_out) + b_out)
         return _layer_norm_data(x, gain_f, shift_f, eps_f) @ head
 
-    # -- incremental fast path (per-lane KV cache) -------------------------------
+    # -- incremental fast path (KV cache, batched step kernel) -------------------
 
     def new_kv_cache(self, rows: int) -> KVCache:
         """Allocate a decode cache with one row per lane."""
@@ -313,40 +331,86 @@ class TransformerLM(Module):
                 totals[key] += stats[key]
         return totals
 
-    def _decode_token(self, token_id: int, cache: KVCache, row: int, weights):
-        """Run one token through all layers, appending its K/V to the row.
+    def _decode_step(self, tokens: np.ndarray, cache: KVCache,
+                     rows: np.ndarray, weights) -> np.ndarray:
+        """Decode one new token for each of n distinct rows: (n, V) logits.
 
-        Works on 1-D per-lane arrays: the lane never sees its batch-mates,
-        which is what makes cached decoding bitwise-independent of batch
-        composition.  Returns the (V,) logits at the new position.
+        The dense layers (LayerNorm, QKV, proj, MLP, head) run as one
+        (n, .) op each; every row's K/V is scattered into its own cache
+        slot, and attention gathers each row's keys/values over the fixed
+        ``max_len`` window, masking positions past the row's end with
+        -1e9 (exactly zero weight after the softmax).  Fixed per-row
+        shapes keep a row's attention bits independent of its
+        batch-mates; the dense layers rely on BLAS computing every row of
+        an M-row sgemm identically for 2 <= M <= ``_STEP_ROWS`` (guarded
+        in tests/lm/test_kv_cache.py).  M = 1 takes the gemv path instead,
+        so a lone row's dense inputs are padded with a copy of the row.
         """
+        count = len(rows)
+        pad = count == 1
+        if pad:
+            # A one-row slice indexes the cache by views, not copies.
+            rows = slice(int(rows[0]), int(rows[0]) + 1)
         tok, pos_table, blocks, gain_f, shift_f, eps_f, head = weights
-        n_heads, head_dim = self.config.n_heads, self.config.d_model // self.config.n_heads
+        max_len, n_heads = self.config.max_len, self.config.n_heads
+        head_dim = self.config.d_model // n_heads
         scale = np.float32(1.0 / np.sqrt(head_dim))
-        position = cache.length(row)
-        keys_row = cache.keys[row]
-        values_row = cache.values[row]
-        x = tok[token_id] + pos_table[position]  # (D,)
+        positions = cache.lengths[rows]
+        if positions.max() >= max_len:
+            raise ValueError("cache row is full; caller must fall back")
+        bias = _mask_bias(max_len)[positions][:, None, :]  # (n, 1, P)
+        x = tok[tokens] + pos_table[positions]  # (n, D)
+        if pad:
+            x = np.repeat(x, 2, axis=0)
         for layer, (
             gain1, shift1, eps1, w_qkv, b_qkv, w_proj, b_proj,
             gain2, shift2, eps2, w_fc, b_fc, w_out, b_out,
         ) in enumerate(blocks):
             h = _layer_norm_data(x, gain1, shift1, eps1)
-            qkv = ((h @ w_qkv) + b_qkv).reshape(3, n_heads, head_dim)
-            keys_row[layer, :, position, :] = qkv[1]
-            values_row[layer, :, position, :] = qkv[2]
-            keys = keys_row[layer, :, : position + 1, :]  # (H, P, hd)
-            values = values_row[layer, :, : position + 1, :]
-            scores = (keys @ qkv[0][:, :, None])[:, :, 0] * scale  # (H, P)
+            qkv = ((h @ w_qkv) + b_qkv)[:count].reshape(count, 3, n_heads, head_dim)
+            cache.keys[rows, layer, :, :, positions] = qkv[:, 1]
+            cache.values[rows, layer, :, positions] = qkv[:, 2]
+            keys = cache.keys[rows, layer]  # (n, H, hd, P)
+            values = cache.values[rows, layer]  # (n, H, P, hd)
+            scores = ((qkv[:, 0, :, None, :] * scale) @ keys)[:, :, 0] + bias  # (n, H, P)
             shifted = scores - scores.max(axis=-1, keepdims=True)
             exp = np.exp(shifted)
             attention = exp / exp.sum(axis=-1, keepdims=True)
-            context = (attention[:, None, :] @ values).reshape(-1)  # (D,)
+            context = (attention[:, :, None, :] @ values).reshape(count, -1)
+            if pad:
+                context = np.repeat(context, 2, axis=0)
             x = x + ((context @ w_proj) + b_proj)
             h2 = _layer_norm_data(x, gain2, shift2, eps2)
-            x = x + ((_gelu_data((h2 @ w_fc) + b_fc) @ w_out) + b_out)
-        cache.commit(row, token_id)
-        return _layer_norm_data(x, gain_f, shift_f, eps_f) @ head
+            x = x + ((_gelu_step((h2 @ w_fc) + b_fc) @ w_out) + b_out)
+        cache.commit(rows, tokens)
+        return (_layer_norm_data(x, gain_f, shift_f, eps_f) @ head)[:count]
+
+    def _decode_pending(self, pending, cache: KVCache, out: np.ndarray) -> None:
+        """Run every ``(index, row, new_ids)`` to its end in lock-steps.
+
+        Step t decodes the t-th new token of every row that still has
+        one, so prompt catch-up and rewinds batch like single-token
+        steps; a row's logits land in ``out[index]`` after its last token.
+        A step over more than ``_STEP_ROWS`` rows runs as several kernel
+        calls of at most that many rows.
+        """
+        if not pending:
+            return
+        if len({row for _, row, _ in pending}) != len(pending):
+            raise ValueError("every prefix in a cached batch needs its own row")
+        weights = self._inference_weights()
+        pending.sort(key=lambda item: -len(item[2]))  # active rows: a prefix
+        for step in range(len(pending[0][2])):
+            while len(pending[-1][2]) <= step:
+                pending.pop()
+            for start in range(0, len(pending), _STEP_ROWS):
+                chunk = pending[start : start + _STEP_ROWS]
+                tokens = np.array([ids[step] for _, _, ids in chunk], dtype=np.int64)
+                rows = np.array([row for _, row, _ in chunk], dtype=np.int64)
+                logits = self._decode_step(tokens, cache, rows, weights)
+                for (index, _, ids), row_logits in zip(chunk, logits):
+                    if len(ids) == step + 1:
+                        out[index] = row_logits
 
     def forward_incremental(
         self,
@@ -364,43 +428,51 @@ class TransformerLM(Module):
         """
         if rows is None:
             rows = range(len(ids_step))
-        weights = self._inference_weights()
-        logits = np.empty((len(ids_step), self.config.vocab_size), dtype=np.float32)
-        with self._inference():
-            for index, (row, step) in enumerate(zip(rows, ids_step)):
-                step_ids = np.atleast_1d(np.asarray(step, dtype=np.int64))
-                if step_ids.size == 0:
-                    raise ValueError("each step must append at least one token")
-                for token in step_ids:
-                    last = self._decode_token(int(token), cache, row, weights)
-                logits[index] = last
+        pending = []
+        for index, (row, step) in enumerate(zip(rows, ids_step)):
+            step_ids = np.atleast_1d(np.asarray(step, dtype=np.int64))
+            if step_ids.size == 0:
+                raise ValueError("each step must append at least one token")
+            pending.append((index, row, step_ids))
+        logits = np.empty((len(pending), self.config.vocab_size), dtype=np.float32)
+        self._decode_pending(pending, cache, logits)
         return logits
 
-    def _cached_logits(
-        self, ids: np.ndarray, cache: KVCache, row: int, weights
+    def _incremental_logits(
+        self, prefixes: Sequence[Sequence[int]], cache: KVCache, rows: Sequence[int]
     ) -> np.ndarray:
-        """Logits after ``ids`` for one lane, reusing the row's cached prefix."""
+        """(B, V) logits after each prefix, reusing each row's cached prefix.
+
+        Plans every row first (match, trim, lookup accounting, and the
+        full-forward fallback past ``max_len``), then decodes all pending
+        tokens in batched lock-steps.
+        """
         max_len = self.config.max_len
-        length = ids.shape[0]
-        if length == 0:
-            raise ValueError("prefix must contain at least BOS")
-        if length > max_len:
-            # A sliding window shifts every position index, so the cached
-            # K/V no longer line up.  Drop the row and take the full
-            # forward on the truncated window -- bitwise identical to what
-            # the uncached path computes for the same prefix.
-            cache.invalidate(row)
-            cache.note_fallback()
-            return self._forward_data(ids[None, -max_len:])[0, -1]
-        matched = cache.match(row, ids)
-        if matched >= length:
-            # Whole prefix already cached (rewind to a seen state): logits
-            # aren't stored, so recompute just the last token.
-            matched = length - 1
-        cache.trim(row, matched)
-        cache.note_lookup(matched, length - matched)
-        for token in ids[matched:]:
-            logits = self._decode_token(int(token), cache, row, weights)
+        logits = np.empty((len(prefixes), self.config.vocab_size), dtype=np.float32)
+        pending = []
+        for index, (prefix, row) in enumerate(zip(prefixes, rows)):
+            ids = np.asarray(prefix, dtype=np.int64)
+            length = ids.shape[0]
+            if length == 0:
+                raise ValueError("prefix must contain at least BOS")
+            if length > max_len:
+                # A sliding window shifts every position index, so the
+                # cached K/V no longer line up.  Drop the row and take the
+                # full forward on the truncated window -- bitwise identical
+                # to what the uncached path computes for the same prefix.
+                cache.invalidate(row)
+                cache.note_fallback()
+                logits[index] = self._forward_data(ids[None, -max_len:])[0, -1]
+                continue
+            matched = cache.match(row, ids)
+            if matched >= length:
+                # Whole prefix already cached (rewind to a seen state):
+                # logits aren't stored, so recompute just the last token.
+                matched = length - 1
+            cache.trim(row, matched)
+            cache.note_lookup(matched, length - matched)
+            pending.append((index, row, ids[matched:]))
+        self._decode_pending(pending, cache, logits)
         return logits
 
     # -- LanguageModel protocol ---------------------------------------------------
@@ -417,12 +489,11 @@ class TransformerLM(Module):
         without one, runs the vectorized graph-free full forward (bitwise
         identical to the historical autograd path).
         """
-        ids = np.asarray(prefix_ids, dtype=np.int64)
-        with self._inference():
-            if cache is not None:
-                logits = self._cached_logits(ids, cache, row, self._inference_weights())
-            else:
-                logits = self._forward_data(ids[None, -self.config.max_len :])[0, -1]
+        if cache is not None:
+            logits = self._incremental_logits([prefix_ids], cache, [row])[0]
+        else:
+            ids = np.asarray(prefix_ids, dtype=np.int64)
+            logits = self._forward_data(ids[None, -self.config.max_len :])[0, -1]
         return self._softmax(logits)
 
     def next_distributions(
@@ -433,9 +504,9 @@ class TransformerLM(Module):
     ) -> np.ndarray:
         """Batched protocol: (B, V) next-token probabilities.
 
-        Cached mode decodes each lane independently through the per-token
-        kernels -- rows are bitwise identical to the serial cached path at
-        any batch size.  Uncached mode keeps the padded single-forward
+        Cached mode decodes every lane's pending tokens in batched
+        lock-steps -- rows are bitwise identical to the serial cached path
+        at any batch size.  Uncached mode keeps the padded single-forward
         batch: prefixes are truncated to the context window, right-padded
         with PAD to the longest row, and pushed through one vectorized
         forward; causal attention guarantees the padding can never
@@ -447,18 +518,9 @@ class TransformerLM(Module):
         if cache is not None:
             if rows is None:
                 rows = range(len(batch_of_prefix_ids))
-            with self._inference():
-                weights = self._inference_weights()
-                return np.stack(
-                    [
-                        self._softmax(
-                            self._cached_logits(
-                                np.asarray(prefix, dtype=np.int64), cache, row, weights
-                            )
-                        )
-                        for prefix, row in zip(batch_of_prefix_ids, rows)
-                    ]
-                )
+            return self._softmax(
+                self._incremental_logits(batch_of_prefix_ids, cache, rows)
+            )
         prefix_rows = [
             np.asarray(prefix, dtype=np.int64)[-self.config.max_len :]
             for prefix in batch_of_prefix_ids
@@ -470,8 +532,7 @@ class TransformerLM(Module):
         ids = np.full((len(prefix_rows), width), self.tokenizer.pad_id, dtype=np.int64)
         for index, row in enumerate(prefix_rows):
             ids[index, : len(row)] = row
-        with self._inference():
-            logits = self._forward_data(ids)
+        logits = self._forward_data(ids)
         last = logits[np.arange(len(prefix_rows)), lengths - 1]
         return self._softmax(last)
 

@@ -4,12 +4,15 @@ Layered guarantees, weakest to strongest:
 
 * the graph-free full forward is *bitwise* identical to the autograd path
   (it mirrors the exact numpy expressions, so this is exact, not approx);
-* the per-token incremental kernel matches the full forward to float32
+* the batched incremental step kernel matches the full forward to float32
   rounding on distributions (bitwise equality is impossible here: OpenBLAS
-  picks different kernels for (T,D)@(D,D) and (1,D)@(D,D) matmuls);
+  picks different kernels for (T,D)@(D,D) and (1,D)@(D,D) matmuls), and
+  the per-lane ``_decode_token`` oracle below to a stated logit bound;
 * cached decoding is *bitwise* deterministic with respect to itself --
   replaying any prefix against a warm, rewound, reused, or fresh row gives
-  identical bytes at any batch size;
+  identical bytes at any batch size, in any order or subset of rows (this
+  rests on BLAS computing the rows of an M >= 2 sgemm independently of M,
+  which a guard test checks directly);
 * end-to-end, the enforced record bytes at a fixed seed are identical
   between ``decode_mode="full"`` and ``decode_mode="incremental"`` through
   the serial enforcer, the batched engine, and the serving scheduler.
@@ -18,10 +21,12 @@ Layered guarantees, weakest to strongest:
 import numpy as np
 import pytest
 
+from repro.autograd import Module
 from repro.core import EnforcementEngine, EnforcerConfig, JitEnforcer
 from repro.data import build_dataset
 from repro.errors import InfeasibleRecord
 from repro.lm import KVCache, NgramLM, TransformerConfig, TransformerLM
+from repro.lm.model import _STEP_ROWS, _gelu_data, _layer_norm_data
 from repro.rules import RuleSet, domain_bound_rules, paper_rules
 from repro.serve import ContinuousBatchingScheduler, RequestSpec
 from repro.stream import (
@@ -53,6 +58,50 @@ def _ids(model, length, seed=0):
     return [model.tokenizer.bos_id] + [
         int(t) for t in rng.integers(0, vocab, size=length - 1)
     ]
+
+
+def _decode_token(model, token_id, cache, row):
+    """Parity oracle: the per-lane kernel the batched step replaced.
+
+    One token through all layers on 1-D arrays, attending over exactly the
+    row's cached prefix, with the bit-exact ``forward()`` LayerNorm and
+    GELU.  Appends the token's K/V to ``cache`` (same layout as the model)
+    and returns the (V,) logits at the new position.
+    """
+    tok, pos_table, blocks, gain_f, shift_f, eps_f, head = (
+        model._inference_weights()
+    )
+    n_heads = model.config.n_heads
+    head_dim = model.config.d_model // n_heads
+    scale = np.float32(1.0 / np.sqrt(head_dim))
+    position = cache.length(row)
+    keys_row, values_row = cache.keys[row], cache.values[row]
+    x = tok[token_id] + pos_table[position]  # (D,)
+    for layer, (
+        gain1, shift1, eps1, w_qkv, b_qkv, w_proj, b_proj,
+        gain2, shift2, eps2, w_fc, b_fc, w_out, b_out,
+    ) in enumerate(blocks):
+        h = _layer_norm_data(x, gain1, shift1, eps1)
+        qkv = ((h @ w_qkv) + b_qkv).reshape(3, n_heads, head_dim)
+        keys_row[layer, :, :, position] = qkv[1]
+        values_row[layer, :, position, :] = qkv[2]
+        keys = keys_row[layer, :, :, : position + 1]  # (H, hd, P)
+        values = values_row[layer, :, : position + 1, :]  # (H, P, hd)
+        scores = (qkv[0][:, None, :] @ keys)[:, 0, :] * scale  # (H, P)
+        shifted = scores - scores.max(axis=-1, keepdims=True)
+        exp = np.exp(shifted)
+        attention = exp / exp.sum(axis=-1, keepdims=True)
+        context = (attention[:, None, :] @ values).reshape(-1)  # (D,)
+        x = x + ((context @ w_proj) + b_proj)
+        h2 = _layer_norm_data(x, gain2, shift2, eps2)
+        x = x + ((_gelu_data((h2 @ w_fc) + b_fc) @ w_out) + b_out)
+    cache.commit(row, token_id)
+    return _layer_norm_data(x, gain_f, shift_f, eps_f) @ head
+
+
+def _solo_logits(model, prefix):
+    """Logits after ``prefix`` decoded alone (the padded one-row path)."""
+    return model._incremental_logits([prefix], model.new_kv_cache(1), [0])[0]
 
 
 def _enforcer(dataset, rules, mode, seed=13, strict=False):
@@ -108,6 +157,134 @@ class TestKernelParity:
                 ids[:length], cache=model.new_kv_cache(1), row=0
             )
             assert np.array_equal(incremental, fresh)
+
+    def test_rows_bitwise_equal_alone_or_in_any_batch(self, model):
+        """A row's logits never depend on its batch-mates.
+
+        Rows at mixed positions (0 through max_len-1) decode alone -- the
+        padded one-row path -- and in batches of 2, 3, 8 and 16 over any
+        subset, order and row assignment, from cold rows (multi-token
+        catch-up in lock-steps) and after rewinds with new tails.  Batches
+        of 17 and 32 rows run as kernel calls of at most ``_STEP_ROWS``
+        rows (16 + 1 padded, 16 + 16).
+        """
+        max_len = model.config.max_len
+        lengths = [1, 2, 3, 7, 16, 25, 33, 41, 50, 61, 70, 77, 85, 90, 95,
+                   max_len]
+        lengths += [n + 1 for n in lengths[:-1]] + [max_len]
+        prefixes = [
+            _ids(model, n, seed=100 + i) for i, n in enumerate(lengths)
+        ]
+        solo = [_solo_logits(model, prefix) for prefix in prefixes]
+        rng = np.random.default_rng(0)
+        vocab = model.tokenizer.vocab_size
+        for size in (2, 3, 8, 16, 17, 32):
+            for _ in range(2):
+                picks = rng.permutation(len(prefixes))[:size]
+                rows = [int(r) for r in rng.permutation(32)[:size]]
+                cache = model.new_kv_cache(32)
+                batch = [prefixes[i] for i in picks]
+                got = model._incremental_logits(batch, cache, rows)
+                for index, logits in zip(picks, got):
+                    assert np.array_equal(logits, solo[index]), (size, index)
+                # Rewind each row to a random cut and append a new tail of
+                # random length: trims, then uneven catch-up lock-steps.
+                rewound = []
+                for prefix in batch:
+                    cut = int(rng.integers(1, len(prefix) + 1))
+                    tail = rng.integers(0, vocab, size=int(
+                        rng.integers(0, max_len - cut + 1)))
+                    rewound.append(prefix[:cut] + [int(t) for t in tail])
+                got = model._incremental_logits(rewound, cache, rows)
+                for prefix, logits in zip(rewound, got):
+                    assert np.array_equal(logits, _solo_logits(model, prefix))
+
+    def test_per_lane_oracle_bounds_batched_kernel(self, model):
+        """The batched step stays within 1e-5 of the per-lane oracle.
+
+        The two differ only in float32 rounding (gemm vs gemv, a fixed
+        max_len softmax window vs an exact-length one, ``x*x*x`` vs
+        ``x**3``).  With logits up to ~3.6, |dlogit| peaks at 2.5e-6 to
+        2.9e-6 over full-window prefixes on three model seeds; the bound
+        leaves ~3x headroom.
+        """
+        bound = 1e-5
+        max_len = model.config.max_len
+        prefixes = [_ids(model, n, seed=200 + n) for n in (1, 9, 40, max_len)]
+        oracle = []
+        for prefix in prefixes:
+            cache = model.new_kv_cache(1)
+            oracle.append(
+                [_decode_token(model, token, cache, 0) for token in prefix]
+            )
+        cache = model.new_kv_cache(len(prefixes))
+        worst = 0.0
+        for length in range(1, max_len + 1):
+            active = [i for i, p in enumerate(prefixes) if len(p) >= length]
+            got = model._incremental_logits(
+                [prefixes[i][:length] for i in active], cache, active
+            )
+            for index, logits in zip(active, got):
+                delta = np.abs(logits - oracle[index][length - 1]).max()
+                worst = max(worst, float(delta))
+        assert worst <= bound, worst
+
+    def test_gemm_rows_do_not_depend_on_row_count(self, model):
+        """Guard on the BLAS property the batched decode step rests on."""
+        _, _, blocks, _, _, _, head = model._inference_weights()
+        weights = [blocks[0][3], blocks[0][5], blocks[0][10], blocks[0][12],
+                   head]
+        rng = np.random.default_rng(0)
+        for weight in weights:
+            a = rng.standard_normal(
+                (_STEP_ROWS, weight.shape[0])
+            ).astype(np.float32)
+            full = a @ weight
+            for rows in range(2, _STEP_ROWS + 1):
+                for _ in range(3):
+                    picks = rng.permutation(_STEP_ROWS)[:rows]
+                    if not np.array_equal(a[picks] @ weight, full[picks]):
+                        pytest.fail(
+                            f"rows of a {rows}x{weight.shape[0]} @ "
+                            f"{weight.shape} sgemm differ from the same "
+                            f"rows of a {_STEP_ROWS}-row one: this BLAS "
+                            "does not compute gemm rows independently of "
+                            "the row count, so TransformerLM._decode_step's "
+                            "batch invariance (a lone row padded to two "
+                            f"rows, kernel calls of 2-{_STEP_ROWS} rows) "
+                            "does not hold here"
+                        )
+
+    def test_inference_never_toggles_training_mode(self, model, monkeypatch):
+        """Graph-free inference reads neither ``training`` nor the tape."""
+        training = TransformerLM(TransformerConfig(seed=11))
+        assert training.training  # a fresh model starts in training mode
+        evaluating = TransformerLM(TransformerConfig(seed=11)).eval()
+        calls = []
+        monkeypatch.setattr(
+            Module, "train", lambda self, *a: calls.append("train")
+        )
+        monkeypatch.setattr(
+            Module, "eval", lambda self, *a: calls.append("eval")
+        )
+        prefixes = [_ids(model, n, seed=300 + n) for n in (3, 20, 41)]
+
+        def distributions(lm):
+            cache = lm.new_kv_cache(len(prefixes))
+            return [
+                lm.next_distributions(prefixes, cache=cache),
+                lm.next_distribution(prefixes[0], cache=lm.new_kv_cache(1)),
+                lm.next_distributions(prefixes),
+                lm.next_distribution(prefixes[1]),
+            ]
+
+        for got, expected in zip(
+            distributions(training), distributions(evaluating)
+        ):
+            assert np.array_equal(got, expected)
+        assert calls == []
+        assert training.training is True
+        assert evaluating.training is False
 
     def test_forward_incremental_appends_and_returns_last_logits(self, model):
         ids = _ids(model, 12, seed=5)
@@ -170,6 +347,15 @@ class TestCacheBookkeeping:
         stats = cache.stats()
         assert stats["fallbacks"] == 1
         assert cache.length(0) == 0  # row dropped, not silently stale
+
+    def test_shared_row_in_one_batch_is_rejected(self, model):
+        # One lock-step writes each row's K/V slot once: two prefixes on
+        # the same row would silently overwrite each other.
+        cache = model.new_kv_cache(2)
+        with pytest.raises(ValueError):
+            model.next_distributions(
+                [_ids(model, 4), _ids(model, 6)], cache=cache, rows=[1, 1]
+            )
 
     def test_commit_raises_when_row_is_full(self):
         cache = KVCache(rows=1, n_layers=1, n_heads=1, max_len=4, head_dim=2)
@@ -271,6 +457,33 @@ class TestEndToEndParity:
             dict(v) for v in reference
         ]
         assert metrics["lm_cache"]["hits"] > 0
+
+    def test_tinygpt_records_identical_across_drivers_and_batch_sizes(
+        self, setting
+    ):
+        """Lock-step batches of every size give the serial records' bytes."""
+        dataset, rules = setting
+        count = 16
+        serial = _enforcer(dataset, rules, "incremental")
+        reference = [serial.synthesize_record().values for _ in range(count)]
+        for batch_size in (1, 3, 8, 16):
+            engine = EnforcementEngine(
+                _enforcer(dataset, rules, "incremental"), batch_size=batch_size
+            )
+            outcomes = engine.synthesize_many(count)
+            assert [o.values for o in outcomes] == reference, batch_size
+        with ContinuousBatchingScheduler(
+            _enforcer(dataset, rules, "incremental"), lanes=8
+        ) as scheduler:
+            # One single-record request per record, so they share lanes.
+            handles = [
+                scheduler.submit(
+                    RequestSpec("synthesize", seed=13, index_offset=index)
+                )
+                for index in range(count)
+            ]
+            results = [h.result(timeout=120) for h in handles]
+        assert [r.records[0] for r in results] == [dict(v) for v in reference]
 
     def test_infeasible_record_invalidates_lane_row(self, setting):
         """Fault injection: a dead session must not leave a stale row."""

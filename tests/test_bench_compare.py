@@ -48,6 +48,25 @@ STREAM = {
     "memory": {"bounded": True},
 }
 
+DECODE = {
+    "records": 8,
+    "windows": {
+        "16": {
+            "modes": {"incremental": {"lm_tokens_per_sec": 4000.0,
+                                      "records_per_sec": 40.0}},
+            "parity": "byte-identical",
+        },
+    },
+    "lanes": {
+        "records": 32,
+        "rows": {
+            "1": {"lm_tokens_per_sec": 3000.0, "records_per_sec": 14.0},
+            "8": {"lm_tokens_per_sec": 12000.0, "records_per_sec": 26.0},
+        },
+        "parity": "byte-identical",
+    },
+}
+
 
 def _run(baseline, candidate, tmp_path, *extra):
     base = tmp_path / "base.json"
@@ -71,7 +90,8 @@ class TestExitCodes:
         assert _run(STREAM, STREAM, tmp_path).returncode == 0
 
     def test_committed_snapshots_pass_against_themselves(self):
-        for name in ("BENCH_serving.json", "BENCH_stream.json"):
+        for name in ("BENCH_serving.json", "BENCH_stream.json",
+                     "BENCH_decode.json"):
             proc = subprocess.run(
                 [sys.executable, str(SCRIPT),
                  "--baseline", str(REPO / name),
@@ -98,6 +118,22 @@ class TestExitCodes:
         proc = _run(STREAM, degraded, tmp_path)
         assert proc.returncode == 1
         assert "replay_parity" in proc.stdout
+
+    def test_degraded_lanes_throughput_fails(self, tmp_path):
+        assert _run(DECODE, DECODE, tmp_path).returncode == 0
+        degraded = copy.deepcopy(DECODE)
+        degraded["lanes"]["rows"]["8"]["lm_tokens_per_sec"] = 6000.0
+        proc = _run(DECODE, degraded, tmp_path)
+        assert proc.returncode == 1
+        assert "decode(lanes=8) lm_tokens_per_sec" in proc.stdout
+
+    def test_flipped_lanes_parity_fails_without_a_band(self):
+        degraded = copy.deepcopy(DECODE)
+        degraded["lanes"]["parity"] = "diverged"
+        findings = bench_compare.compare(DECODE, degraded, tolerance=10.0)
+        assert [f.where for f in findings if f.regression] == [
+            "decode(lanes)"
+        ]
 
     def test_lost_units_fail(self, tmp_path):
         degraded = copy.deepcopy(SERVING)
