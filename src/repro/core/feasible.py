@@ -22,7 +22,8 @@ Three implementations realize the solver-tier ablation of DESIGN.md:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+import weakref
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..errors import InfeasibleRecord, SolverBudgetExceeded
 from ..obs import OBS
@@ -42,11 +43,10 @@ from ..smt import (
     LinExpr,
     Or,
     Solver,
-    propagate,
 )
-from ..smt.intervals import Interval
+from ..smt.intervals import Interval, PreparedSystem
 from ..smt.simplify import simplify, substitute, to_nnf
-from ..smt.terms import FALSE, TRUE, BoolConst, Implies, Iff, Not
+from ..smt.terms import FALSE, TRUE, BoolConst
 from .transition import FeasibleSet
 
 __all__ = [
@@ -231,9 +231,175 @@ def residualize(formula: Formula, fixed: Mapping[str, int]) -> Formula:
     """Substitute fixed values, push negations to atoms, and fold constants.
 
     The result is in NNF, so conjunctive information can be harvested by
-    :func:`_collect_lincons` and asserted compactly by the solver.
+    :func:`_conjuncts` and asserted compactly by the solver.  This is
+    the one-formula reference form; the oracles residualize a whole pack
+    through its compiled rows instead (:func:`residualize_pack`), which
+    yields the same residuals without rebuilding every rule's tree.
     """
     return simplify(to_nnf(substitute(formula, fixed)))
+
+
+# A residual disjunction travels with the variables of the rule it came
+# from: a superset of its own, enough to skip it when an unrelated
+# variable is fixed.
+Disjunct = Tuple[Formula, FrozenSet[str]]
+
+
+# One compiled rule: (row, None, names) for an atom rule, (None, tree, names)
+# for any other.
+PackEntry = Tuple[Optional[LinCon], Optional[Formula], FrozenSet[str]]
+
+_PACKS: "weakref.WeakKeyDictionary[RuleSet, Tuple[int, Tuple[PackEntry, ...]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def compiled_pack(rules: RuleSet) -> Tuple[PackEntry, ...]:
+    """The rule set lowered once for repeated residualization.
+
+    Each :class:`~repro.smt.Atom` rule becomes one linear row (a
+    :class:`LinCon`), which residualizes by integer substitution.  Every
+    other rule keeps its ``simplify(to_nnf(rule))`` tree plus its variable
+    set; :func:`_substitute_simplify` specializes that tree and returns
+    untouched subtrees as they are.  Rule order is kept: it is assertion
+    order, part of the determinism contract.
+
+    Memoized like :func:`~repro.rules.io.rules_fingerprint`: a weak key,
+    and a length guard so a rule added after compiling recompiles.
+    """
+    cached = _PACKS.get(rules)
+    if cached is not None and cached[0] == len(rules):
+        return cached[1]
+    entries: List[PackEntry] = []
+    for formula in rules.formulas():
+        names = frozenset(formula.variables())
+        if isinstance(formula, Atom):
+            row = LinCon(formula.expr.items, formula.expr.const, formula.op)
+            entries.append((row, None, names))
+        else:
+            entries.append((None, simplify(to_nnf(formula)), names))
+    pack = tuple(entries)
+    _PACKS[rules] = (len(rules), pack)
+    return pack
+
+
+def residualize_pack(
+    pack: Tuple[PackEntry, ...], fixed: Mapping[str, int], harvest: bool
+) -> Optional[Tuple[List[LinCon], List[Disjunct]]]:
+    """Residualize every rule of ``pack`` against ``fixed``.
+
+    Returns the conjunctive linear constraints and the residual
+    disjunctions, both in rule order, or None when a rule is refuted.
+    Rules that residualize to TRUE drop out.  With ``harvest`` a
+    disjunction also contributes, in its place, the rows it conjunctively
+    implies (see :func:`_conjuncts`).
+    """
+    conjunctive: List[LinCon] = []
+    disjunctive: List[Disjunct] = []
+    for row, tree, names in pack:
+        if row is not None:
+            if not _route_row(row, fixed, conjunctive):
+                return None
+            continue
+        residual = tree if names.isdisjoint(fixed) else _substitute_simplify(tree, fixed)
+        if not _route(residual, names, conjunctive, disjunctive, harvest):
+            return None
+    return conjunctive, disjunctive
+
+
+def _route_row(con: LinCon, fixed: Mapping[str, int], out: List[LinCon]) -> bool:
+    """Substitute ``fixed`` into one linear row and append what is left;
+    False when the row becomes ground-false."""
+    rest = []
+    const = con.const
+    for name, coeff in con.items:
+        value = fixed.get(name)
+        if value is None:
+            rest.append((name, coeff))
+        else:
+            const += coeff * value
+    if not rest:
+        return LinCon((), const, con.op).ground_truth()
+    if len(rest) == len(con.items):
+        out.append(con)
+    else:
+        out.append(LinCon(tuple(rest), const, con.op))
+    return True
+
+
+def _route(
+    residual: Formula,
+    names: FrozenSet[str],
+    conjunctive: List[LinCon],
+    disjunctive: List[Disjunct],
+    harvest: bool,
+) -> bool:
+    """File one residual formula; False when it is ground-false."""
+    if isinstance(residual, BoolConst):
+        return residual.value
+    implied: List[LinCon] = []
+    if not _conjuncts(residual, implied):
+        disjunctive.append((residual, names))
+        if not harvest:
+            return True
+    conjunctive.extend(implied)
+    return True
+
+
+def _substitute_simplify(node: Formula, fixed: Mapping[str, int]) -> Formula:
+    """``simplify(substitute(node, fixed))`` for a node already in
+    :func:`simplify` normal form (NNF: atoms, constants, And, Or).
+
+    Subtrees that mention no fixed variable come back as the same object,
+    which a normal form may: simplify() would rebuild an equal tree.
+    """
+    if isinstance(node, Atom):
+        items = node.expr.items
+        const = node.expr.const
+        rest = []
+        for name, coeff in items:
+            value = fixed.get(name)
+            if value is None:
+                rest.append((name, coeff))
+            else:
+                const += coeff * value
+        if len(rest) == len(items) and items:
+            return node
+        if rest:
+            return Atom(LinExpr(dict(rest), const), node.op)
+        holds = const <= 0 if node.op == "<=" else const == 0
+        return TRUE if holds else FALSE
+    if isinstance(node, BoolConst):
+        return node
+    # And/Or: the same folding as simplify(): absorb, drop neutral,
+    # flatten, dedupe.
+    is_and = isinstance(node, And)
+    args = []
+    changed = False
+    for arg in node.args:
+        new = _substitute_simplify(arg, fixed)
+        if new is not arg:
+            changed = True
+            if isinstance(new, BoolConst):
+                if new.value != is_and:  # absorbing
+                    return new
+                continue  # neutral
+        args.append(new)
+    if not changed:
+        return node
+    seen = {}
+    for arg in args:
+        if type(arg) is type(node):
+            for sub in arg.args:
+                seen.setdefault(sub, None)
+        else:
+            seen.setdefault(arg, None)
+    if not seen:
+        return TRUE if is_and else FALSE
+    parts = tuple(seen)
+    if len(parts) == 1:
+        return parts[0]
+    return And(*parts) if is_and else Or(*parts)
 
 
 class InfeasibleRecordError(InfeasibleRecord):
@@ -592,25 +758,14 @@ class SmtOracle(FeasibilityOracle):
         self._base_fixed = dict(self.fixed)
         self._base_ok = False
         self._solver = self._fresh_record_solver()
-        disjunctive: List[Formula] = []
-        conjunctive: List[LinCon] = []
-        for formula in self.rules.formulas():
-            residual = residualize(formula, self.fixed)
-            if residual == TRUE:
-                continue
-            if residual == FALSE:
-                raise InfeasibleRecordError(
-                    f"rule refuted by fixed values {self.fixed}"
-                )
-            pure = _pure_conjunctive(residual)
-            if pure is None:
-                disjunctive.append(residual)
-            else:
-                conjunctive.extend(pure)
+        residual = residualize_pack(compiled_pack(self.rules), self.fixed, harvest=False)
+        if residual is None:
+            raise InfeasibleRecordError(f"rule refuted by fixed values {self.fixed}")
+        conjunctive, disjunctive = residual
         # Fold the (typically hundreds of) conjunctive residual constraints
         # down to the strongest bound per linear form -- the solver then sees
         # tens of atoms instead of hundreds, which matters per token.
-        folded_bounds, folded_other = _fold_lincons(conjunctive, self.bounds)
+        folded_bounds, folded_rows = _fold_lincons(conjunctive, self.bounds)
         for name, (low, high) in folded_bounds.items():
             if name in self.fixed:
                 if not low <= self.fixed[name] <= high:
@@ -622,9 +777,9 @@ class SmtOracle(FeasibilityOracle):
                 raise InfeasibleRecordError(f"empty folded domain for {name}")
             self._solver.add(Le(low, IntVar(name)))
             self._solver.add(Le(IntVar(name), high))
-        for formula in folded_other:
-            self._solver.add(formula)
-        for formula in disjunctive:
+        for row in folded_rows:
+            self._solver.add(_row_formula(row))
+        for formula, _ in disjunctive:
             self._solver.add(formula)
         result = self._solver.check()
         if result.is_unknown:
@@ -734,44 +889,46 @@ class SmtOracle(FeasibilityOracle):
         return model
 
 
-def _pure_conjunctive(formula: Formula) -> Optional[List[LinCon]]:
-    """The formula as a list of linear constraints, or None if it has any
-    genuinely disjunctive structure."""
-    out: List[LinCon] = []
-    ok = _collect_pure(formula, out)
-    return out if ok else None
+def _conjuncts(node: Formula, out: List[LinCon]) -> bool:
+    """Append the rows a residual conjunctively implies; True when they are
+    all of it.
 
-
-def _collect_pure(node: Formula, out: List[LinCon]) -> bool:
+    A residual is in simplify() normal form, so its conjunctive content is
+    exactly the atoms reachable through nested Ands: an Or there keeps two
+    or more live branches and implies no row on its own.
+    """
     if isinstance(node, Atom):
-        out.append(LinCon.make(node.expr.coeffs, node.expr.const, node.op))
+        out.append(LinCon(node.expr.items, node.expr.const, node.op))
         return True
     if isinstance(node, And):
-        return all(_collect_pure(arg, out) for arg in node.args)
-    if isinstance(node, Not) and isinstance(node.arg, Atom) and node.arg.op == "==":
-        atom = node.arg
-        out.append(LinCon.make(atom.expr.coeffs, atom.expr.const, "!="))
-        return True
+        pure = True
+        for arg in node.args:
+            pure = _conjuncts(arg, out) and pure
+        return pure
     return False
 
 
 def _fold_lincons(
     constraints: List[LinCon], base_bounds: Bounds
-) -> Tuple[Dict[str, Tuple[int, int]], List[Formula]]:
+) -> Tuple[Dict[str, Tuple[int, int]], List[LinCon]]:
     """Tighten per-variable bounds and keep only the strongest constraint
-    per multi-variable linear form.  Returns (bounds, leftover formulas)."""
+    per multi-variable linear form.
+
+    Returns (bounds, rows): the rows are the normalized equalities and
+    disequalities in input order, then the strongest ``<=`` per form in
+    first-seen order; a ground-false input leaves the ground-false marker
+    row in its place.
+    """
     bounds: Dict[str, Tuple[int, int]] = dict(base_bounds)
     strongest: Dict[Tuple, LinCon] = {}
-    other: List[Formula] = []
+    rows: List[LinCon] = []
     for con in constraints:
         reduced = con.normalized()
         if reduced is None:
             continue
         if reduced.is_ground():
             if not reduced.ground_truth():
-                # Represent as an always-false formula; the caller's check()
-                # will report infeasibility with this asserted.
-                other.append(FALSE)
+                rows.append(reduced)
             continue
         items = reduced.items
         if len(items) == 1 and reduced.op == "<=":
@@ -792,13 +949,8 @@ def _fold_lincons(
                 strongest[key] = reduced
             continue
         # Equalities and disequalities pass through unfolded.
-        expr = LinExpr(dict(items), reduced.const)
-        if reduced.op == "==":
-            other.append(Atom(expr, "=="))
-        else:
-            other.append(Not(Atom(expr, "==")))
-    for con in strongest.values():
-        other.append(Atom(LinExpr(dict(con.items), con.const), "<="))
+        rows.append(reduced)
+    rows.extend(strongest.values())
     # Close any half-open bounds back to the base domain.
     closed: Dict[str, Tuple[int, int]] = {}
     for name, (low, high) in bounds.items():
@@ -807,61 +959,28 @@ def _fold_lincons(
             base_low if low is None else low,
             base_high if high is None else high,
         )
-    return closed, other
+    return closed, rows
 
 
-def _conjunctive_lincons(
-    formula: Formula, fixed: Mapping[str, int]
-) -> List[LinCon]:
-    """Extract linear constraints *implied* by the formula given ``fixed``.
-
-    Sound under-approximation of the formula's strength: every returned
-    constraint holds in all models extending ``fixed``.  Disjunctions
-    contribute only once all but one branch is ground-false.
-    """
-    grounded = residualize(formula, fixed)
-    out: List[LinCon] = []
-    _collect_lincons(grounded, out)
-    return out
-
-
-def _collect_lincons(node: Formula, out: List[LinCon]) -> None:
-    if isinstance(node, BoolConst):
-        if not node.value:
-            out.append(LinCon.make({}, 1, "<="))  # ground false marker
-        return
-    if isinstance(node, Atom):
-        out.append(LinCon.make(node.expr.coeffs, node.expr.const, node.op))
-        return
-    if isinstance(node, And):
-        for arg in node.args:
-            _collect_lincons(arg, out)
-        return
-    if isinstance(node, Or):
-        live = [arg for arg in node.args if arg != FALSE]
-        if not live:
-            out.append(LinCon.make({}, 1, "<="))
-        elif len(live) == 1:
-            _collect_lincons(live[0], out)
-        return  # 2+ live branches: nothing conjunctively implied
-    if isinstance(node, Not):
-        if isinstance(node.arg, Atom) and node.arg.op == "==":
-            atom = node.arg
-            out.append(LinCon.make(atom.expr.coeffs, atom.expr.const, "!="))
-        return
-    if isinstance(node, (Implies, Iff)):
-        # simplify() rewrites these away; reaching here means no information.
-        return
+def _row_formula(row: LinCon) -> Formula:
+    """A folded row as the formula the solver asserts."""
+    if row.is_ground():
+        return FALSE  # check() then reports the record infeasible
+    return Atom(LinExpr(dict(row.items), row.const), row.op)
 
 
 class IntervalOracle(FeasibilityOracle):
     """Bounds-propagation tier: fast, sound for pruning, incomplete.
 
-    State is refolded after every ``fix``: single-variable residual
+    ``begin_record`` residualizes the rule set's compiled pack (built once
+    per rule set) and folds the result: single-variable residual
     constraints collapse into a per-variable *box*, multi-variable ones keep
     only the strongest bound per linear form, and disjunctive residuals are
     held back symbolically (they only inform propagation once all but one
-    branch dies).  Queries then run propagation over this compact state.
+    branch dies).  Each ``fix`` is incremental: only the rows and
+    disjunctions that mention the fixed variable are substituted, the rest
+    pass through in order, and the result is refolded.  Queries run
+    propagation over a system prepared once per such state.
     """
 
     def __init__(
@@ -883,11 +1002,22 @@ class IntervalOracle(FeasibilityOracle):
             mask_table=mask_table,
             mask_stats=mask_stats,
         )
-        self._box: Dict[str, Tuple[int, int]] = dict(bounds)
-        self._multi_cons: List[LinCon] = []
-        self._disjunctive: List[Formula] = []
         self._refuted = False
+        self._set_state(dict(bounds), [], [])
+
+    def _set_state(
+        self,
+        box: Dict[str, Tuple[int, int]],
+        multi: List[LinCon],
+        disjunctive: List[Disjunct],
+    ) -> None:
+        """Adopt a refold state and drop everything derived from the old one."""
+        self._box = box
+        self._multi_cons = multi
+        self._disjunctive = disjunctive
         self._domain_cache: Optional[Dict[str, Interval]] = None
+        self._prepared: Optional[PreparedSystem] = None
+        self._initial: Optional[Dict[str, Interval]] = None
 
     # -- refold-state snapshots ('istate' cache section) ----------------------
 
@@ -900,14 +1030,11 @@ class IntervalOracle(FeasibilityOracle):
             return False
         refuted, box, multi, disjunctive = hit
         self._refuted = refuted
-        self._box = dict(box)
-        self._multi_cons = list(multi)
-        self._disjunctive = list(disjunctive)
-        # Never adopt a propagated-domain cache along with the snapshot: a
-        # domain computed before some fix() on the producing path would
-        # silently *widen* the admissible set here.  Domains are recomputed
-        # lazily from the (exact) refold state instead.
-        self._domain_cache = None
+        # Never adopt a propagated domain along with the snapshot: a domain
+        # computed before some fix() on the producing path would silently
+        # *widen* the admissible set here.  Domains are recomputed lazily
+        # from the (exact) refold state instead.
+        self._set_state(dict(box), list(multi), list(disjunctive))
         return True
 
     def _store_istate(self) -> None:
@@ -935,62 +1062,63 @@ class IntervalOracle(FeasibilityOracle):
     def _begin_record_impl(self, fixed: Optional[Mapping[str, int]]) -> None:
         self.fixed = {k: int(v) for k, v in (fixed or {}).items()}
         self._reset_state_key(self.fixed)
-        if self._restore_istate():
-            self._domain_cache = None
-        else:
+        if not self._restore_istate():
             self._refuted = False
-            self._refold(self.rules.formulas(), self.fixed)
+            residual = residualize_pack(
+                compiled_pack(self.rules), self.fixed, harvest=True
+            )
+            if residual is None:
+                self._refuted = True
+            else:
+                self._fold(*residual, self.fixed, None)
             self._store_istate()
         if self._refuted or self._propagate(None, None) is None:
             raise InfeasibleRecordError(
                 f"bounds propagation refutes fixed values {self.fixed}"
             )
 
-    def _refold(self, formulas: Iterable[Formula], fixed: Mapping[str, int]) -> None:
-        """Residualize ``formulas`` against ``fixed`` and fold the result."""
-        self._domain_cache = None
-        conjunctive: List[LinCon] = []
-        disjunctive: List[Formula] = []
-        for formula in formulas:
-            reduced = residualize(formula, fixed)
-            if reduced == TRUE:
-                continue
-            if reduced == FALSE:
-                self._refuted = True
-                return
-            pure = _pure_conjunctive(reduced)
-            if pure is None:
-                disjunctive.append(reduced)
-                # A disjunction still conjunctively implies its collapsed
-                # parts when all but one branch is dead.
-                _collect_lincons(reduced, conjunctive)
-            else:
-                conjunctive.extend(pure)
-        box, other_formulas = _fold_lincons(conjunctive, self.bounds)
+    def _fold(
+        self,
+        conjunctive: List[LinCon],
+        disjunctive: List[Disjunct],
+        checked: Mapping[str, int],
+        previous_box: Optional[Dict[str, Tuple[int, int]]],
+    ) -> None:
+        """Fold residualized constraints into the refold state.
+
+        ``checked`` holds the values just substituted, each of which must
+        lie in its folded bounds.  Folding starts from the schema bounds, so
+        an incremental fold passes the ``previous_box`` to keep earlier
+        tightenings.  On refutation the old state stays as it was.
+        """
+        box, rows = _fold_lincons(conjunctive, self.bounds)
         for name, (low, high) in box.items():
-            if name in fixed and not low <= fixed[name] <= high:
+            if low > high or (
+                name in checked and not low <= checked[name] <= high
+            ):
                 self._refuted = True
                 return
-            if low > high:
-                self._refuted = True
-                return
-        self._box = box
-        multi: List[LinCon] = []
-        for formula in other_formulas:
-            if formula == FALSE:
-                self._refuted = True
-                return
-            _collect_lincons(formula, multi)
-        self._multi_cons = multi
-        self._disjunctive = disjunctive
+        if any(row.is_ground() for row in rows):
+            self._refuted = True
+            return
+        if previous_box is not None:
+            for name, (low, high) in box.items():
+                prev_low, prev_high = previous_box.get(name, (low, high))
+                low, high = max(low, prev_low), min(high, prev_high)
+                box[name] = (low, high)
+                if low > high and name not in self.fixed:
+                    self._refuted = True
+        self._set_state(box, rows, disjunctive)
 
     def _initial_domain(self) -> Dict[str, Interval]:
-        initial = {
-            name: Interval(low, high) for name, (low, high) in self._box.items()
-        }
-        for name, value in self.fixed.items():
-            initial[name] = Interval(value, value)
-        return initial
+        if self._initial is None:
+            initial = {
+                name: Interval(low, high) for name, (low, high) in self._box.items()
+            }
+            for name, value in self.fixed.items():
+                initial[name] = Interval(value, value)
+            self._initial = initial
+        return self._initial
 
     def _propagate(self, extra_var: Optional[str], extra_value: Optional[int]):
         """Domain after propagation, optionally pinning one trial value."""
@@ -1009,23 +1137,30 @@ class IntervalOracle(FeasibilityOracle):
                 domain = hit[0]
                 self._domain_cache = domain
                 return domain
-        constraints = list(self._multi_cons)
+        if self._prepared is None:
+            self._prepared = PreparedSystem(self._multi_cons)
         initial = self._initial_domain()
+        extra: List[LinCon] = []
         if extra_var is not None:
             pin = initial.get(extra_var, Interval(extra_value, extra_value))
             if not pin.contains(extra_value):
                 return None
+            initial = dict(initial)
             initial[extra_var] = Interval(extra_value, extra_value)
-            # The trial value may collapse disjunctions; harvest those.
+            # The trial value may collapse disjunctions; harvest those.  A
+            # disjunction without the variable residualizes to itself, and
+            # what it implies is already folded into this state.
             trial = {extra_var: extra_value}
-            for formula in self._disjunctive:
-                reduced = residualize(formula, trial)
-                if reduced == TRUE:
+            for formula, names in self._disjunctive:
+                if extra_var not in names:
                     continue
-                if reduced == FALSE:
-                    return None
-                _collect_lincons(reduced, constraints)
-        result = propagate(constraints, initial)
+                reduced = _substitute_simplify(formula, trial)
+                if isinstance(reduced, BoolConst):
+                    if not reduced.value:
+                        return None
+                    continue
+                _conjuncts(reduced, extra)
+        result = self._prepared.run(initial, extra)
         domain = result.domain if result.feasible else None
         if extra_var is None:
             self._domain_cache = domain
@@ -1089,29 +1224,22 @@ class IntervalOracle(FeasibilityOracle):
         if self._refuted:
             self._store_istate()
             return
-        # Re-residualize the compact state (not the original rules): the
-        # box becomes formulas implicitly via bounds, multi-var constraints
-        # specialize, and disjunctions may collapse.
-        formulas: List[Formula] = []
-        for con in self._multi_cons:
-            expr = LinExpr(dict(con.items), con.const)
-            if con.op == "<=":
-                formulas.append(Atom(expr, "<="))
-            elif con.op == "==":
-                formulas.append(Atom(expr, "=="))
-            else:
-                formulas.append(Not(Atom(expr, "==")))
-        formulas.extend(self._disjunctive)
-        previous_box = self._box
-        self._refold(formulas, {variable: value})
-        # Folding against self.bounds loses earlier box tightenings; merge.
-        merged: Dict[str, Tuple[int, int]] = {}
-        for name, (low, high) in self._box.items():
-            prev_low, prev_high = previous_box.get(name, (low, high))
-            merged[name] = (max(low, prev_low), min(high, prev_high))
-            if merged[name][0] > merged[name][1] and name not in self.fixed:
-                self._refuted = True
-        self._box = merged
+        assignment = {variable: int(value)}
+        conjunctive: List[LinCon] = []
+        disjunctive: List[Disjunct] = []
+        refuted = not all(
+            _route_row(con, assignment, conjunctive) for con in self._multi_cons
+        )
+        for formula, names in self._disjunctive:
+            if refuted:
+                break
+            if variable in names:
+                formula = _substitute_simplify(formula, assignment)
+            refuted = not _route(formula, names, conjunctive, disjunctive, True)
+        if refuted:
+            self._refuted = True
+        else:
+            self._fold(conjunctive, disjunctive, assignment, self._box)
         self._store_istate()
 
     def discard_record_state(self) -> None:
@@ -1123,11 +1251,8 @@ class IntervalOracle(FeasibilityOracle):
             self.cache.evict(self._cache_key("istate"))
             self.cache.evict(self._cache_key("dom"))
         super().discard_record_state()
-        self._box = dict(self.bounds)
-        self._multi_cons = []
-        self._disjunctive = []
         self._refuted = False
-        self._domain_cache = None
+        self._set_state(dict(self.bounds), [], [])
 
 
 class HybridOracle(FeasibilityOracle):

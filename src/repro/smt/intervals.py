@@ -18,7 +18,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .lincon import LinCon
 
-__all__ = ["Interval", "IntervalDomain", "propagate", "PropagationResult"]
+__all__ = [
+    "Interval",
+    "IntervalDomain",
+    "PreparedSystem",
+    "PropagationResult",
+    "propagate",
+]
 
 _WIDEN_LIMIT = 10_000  # iterations before declaring non-convergence
 
@@ -83,8 +89,17 @@ IntervalDomain = Dict[str, Interval]
 
 @dataclass
 class PropagationResult:
+    """Outcome of one propagation run.
+
+    ``converged`` is False when the run stopped at the ``_WIDEN_LIMIT``
+    iteration cap: the domain is then still sound (no solution pruned) but
+    may be wider than the fixpoint, and -- unlike a converged domain -- it
+    can depend on the order the constraints were visited in.
+    """
+
     feasible: bool
     domain: IntervalDomain
+    converged: bool = True
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -95,55 +110,102 @@ def _floor_div(a: int, b: int) -> int:
     return a // b
 
 
-def propagate(
-    constraints: Iterable[LinCon],
-    initial: Optional[Mapping[str, Interval]] = None,
-) -> PropagationResult:
-    """Run bounds propagation to fixpoint.
-
-    Equalities propagate in both directions; disequalities only fire when
-    the rest of the constraint is pinned to a single value.
-    """
-    domain: IntervalDomain = dict(initial or {})
-    active: List[LinCon] = []
+def _normalize_all(
+    constraints: Iterable[LinCon], active: List[LinCon]
+) -> bool:
+    """Append the non-trivial normalized constraints to ``active``;
+    False when one of them is ground-false."""
     for con in constraints:
         normalized = con.normalized()
         if normalized is None:
             continue
         if normalized.is_ground():
             if not normalized.ground_truth():
-                return PropagationResult(False, domain)
+                return False
             continue
         active.append(normalized)
-        for var, _ in normalized.items:
-            domain.setdefault(var, TOP)
+    return True
 
-    # Index: variable -> constraints mentioning it.
-    watch: Dict[str, List[LinCon]] = {}
-    for con in active:
-        for var, _ in con.items:
-            watch.setdefault(var, []).append(con)
 
-    queue: List[LinCon] = list(active)
-    queued = {id(con) for con in queue}
-    iterations = 0
-    while queue:
-        iterations += 1
-        if iterations > _WIDEN_LIMIT:
-            break  # give up on convergence; domain so far is still sound
-        con = queue.pop()
-        queued.discard(id(con))
-        changed_vars = _propagate_one(con, domain)
-        if changed_vars is None:
+class PreparedSystem:
+    """A constraint system normalized and watch-indexed once, run many times.
+
+    Propagation is chaotic iteration of monotone narrowing operators, so a
+    converged run's domain depends only on the constraints and the initial
+    domain, never on the order constraints are visited in.  That is what
+    lets a caller build this once per constraint state and reuse it for
+    every query against that state -- with different initial domains and
+    a few per-query ``extra`` constraints -- and get exactly what a
+    from-scratch :func:`propagate` would.
+    """
+
+    __slots__ = ("active", "watch", "variables", "refuted")
+
+    def __init__(self, constraints: Iterable[LinCon]):
+        self.active: List[LinCon] = []
+        self.refuted = not _normalize_all(constraints, self.active)
+        self.watch: Dict[str, List[LinCon]] = {}
+        for con in self.active:
+            for var, _ in con.items:
+                self.watch.setdefault(var, []).append(con)
+        self.variables = tuple(self.watch)
+
+    def run(
+        self,
+        initial: Optional[Mapping[str, Interval]] = None,
+        extra: Iterable[LinCon] = (),
+    ) -> PropagationResult:
+        """Propagate from ``initial`` to fixpoint with ``extra`` added."""
+        domain: IntervalDomain = dict(initial or {})
+        if self.refuted:
             return PropagationResult(False, domain)
-        for var in changed_vars:
-            if domain[var].is_empty():
+        more: List[LinCon] = []
+        if not _normalize_all(extra, more):
+            return PropagationResult(False, domain)
+        active, watch = self.active, self.watch
+        for var in self.variables:
+            domain.setdefault(var, TOP)
+        if more:
+            active = active + more
+            watch = dict(watch)  # new lists below: the index stays shared
+            for con in more:
+                for var, _ in con.items:
+                    domain.setdefault(var, TOP)
+                    watch[var] = watch.get(var, []) + [con]
+
+        queue: List[LinCon] = list(active)
+        queued = {id(con) for con in queue}
+        iterations = 0
+        while queue:
+            iterations += 1
+            if iterations > _WIDEN_LIMIT:
+                # Give up on convergence; the domain so far is still sound.
+                return PropagationResult(True, domain, converged=False)
+            con = queue.pop()
+            queued.discard(id(con))
+            changed_vars = _propagate_one(con, domain)
+            if changed_vars is None:
                 return PropagationResult(False, domain)
-            for dependent in watch.get(var, ()):
-                if id(dependent) not in queued:
-                    queue.append(dependent)
-                    queued.add(id(dependent))
-    return PropagationResult(True, domain)
+            for var in changed_vars:
+                if domain[var].is_empty():
+                    return PropagationResult(False, domain)
+                for dependent in watch.get(var, ()):
+                    if id(dependent) not in queued:
+                        queue.append(dependent)
+                        queued.add(id(dependent))
+        return PropagationResult(True, domain)
+
+
+def propagate(
+    constraints: Iterable[LinCon],
+    initial: Optional[Mapping[str, Interval]] = None,
+) -> PropagationResult:
+    """Run bounds propagation to fixpoint (see :class:`PreparedSystem`).
+
+    Equalities propagate in both directions; disequalities only fire when
+    the rest of the constraint is pinned to a single value.
+    """
+    return PreparedSystem(constraints).run(initial)
 
 
 def _term_range(

@@ -70,6 +70,11 @@ class LinExpr:
         return dict(self._items)
 
     @property
+    def items(self) -> Tuple[Tuple[str, int], ...]:
+        """The ``(name, coeff)`` pairs, sorted by name, no zero coefficients."""
+        return self._items
+
+    @property
     def variables(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self._items)
 

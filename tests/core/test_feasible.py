@@ -1,5 +1,7 @@
 """Feasibility oracle tests: exactness of SMT, soundness of intervals."""
 
+import random
+
 import pytest
 
 from repro.core.feasible import (
@@ -7,11 +9,39 @@ from repro.core.feasible import (
     InfeasibleRecordError,
     IntervalOracle,
     SmtOracle,
+    _fold_lincons,
+    _row_formula,
+    _substitute_simplify,
+    compiled_pack,
     residualize,
 )
-from repro.data import TelemetryConfig, variable_bounds
-from repro.rules import paper_rules, zoom2net_manual_rules
-from repro.smt import FALSE, TRUE, And, Eq, Ge, Implies, IntVar, Le, Or
+from repro.core.transition import FeasibleSet
+from repro.data import COARSE_FIELDS, TelemetryConfig, variable_bounds
+from repro.rules import (
+    Rule,
+    domain_bound_rules,
+    paper_rules,
+    zoom2net_manual_rules,
+)
+from repro.smt import (
+    FALSE,
+    TRUE,
+    And,
+    Atom,
+    BoolConst,
+    Eq,
+    Ge,
+    Implies,
+    IntVar,
+    Le,
+    LinCon,
+    LinExpr,
+    Not,
+    Or,
+)
+from repro.smt import intervals
+from repro.smt.intervals import Interval, propagate
+from repro.smt.simplify import simplify, to_nnf
 
 
 CONFIG = TelemetryConfig()
@@ -54,6 +84,24 @@ class TestResidualize:
         formula = Or(Ge(IntVar("I0"), 30), Ge(IntVar("I1"), 30))
         residual = residualize(formula, {"I0": 0})
         assert residual == Ge(IntVar("I1"), 30)
+
+    @pytest.mark.parametrize(
+        "fixed",
+        [{}, {"y": 2}, {"y": 2, "z": 2}, {"x": 9}, {"x": 0, "y": 0}, {"z": 5}],
+    )
+    def test_compiled_tree_matches_residualize(self, fixed):
+        x, y, z = IntVar("x"), IntVar("y"), IntVar("z")
+        formulas = [
+            # Equal disjuncts once y == z: the fold must dedupe them.
+            Or(Le(x + y, 5), Le(x + z, 5), Ge(x, 8)),
+            Implies(Ge(y, 1), Or(Le(x, 3), And(Ge(z, 2), Le(x + z, 9)))),
+            Implies(And(Ge(x, 1), Le(y, 2)), Eq(x + y + z, 7)),
+            Not(Eq(x, y)),
+            Or(And(Le(x, 9), Ge(y, 2)), And(Le(x, 9), Ge(y, 2), Le(z, 5))),
+        ]
+        for formula in formulas:
+            base = simplify(to_nnf(formula))
+            assert _substitute_simplify(base, fixed) == residualize(formula, fixed)
 
 
 class TestOracleBasics:
@@ -184,3 +232,268 @@ class TestHybridSoundness:
         oracle.begin_record(PROMPT)
         fs = oracle.feasible_set("I0")
         assert fs.max_value <= CONFIG.bandwidth
+
+
+def _pure_conjunctive(formula):
+    """The formula as a list of linear constraints, or None if it has any
+    genuinely disjunctive structure."""
+    out = []
+    return out if _collect_pure(formula, out) else None
+
+
+def _collect_pure(node, out):
+    if isinstance(node, Atom):
+        out.append(LinCon.make(node.expr.coeffs, node.expr.const, node.op))
+        return True
+    if isinstance(node, And):
+        return all(_collect_pure(arg, out) for arg in node.args)
+    if isinstance(node, Not) and isinstance(node.arg, Atom) and node.arg.op == "==":
+        atom = node.arg
+        out.append(LinCon.make(atom.expr.coeffs, atom.expr.const, "!="))
+        return True
+    return False
+
+
+def _collect_lincons(node, out):
+    """Linear constraints the formula implies in every model."""
+    if isinstance(node, BoolConst):
+        if not node.value:
+            out.append(LinCon.make({}, 1, "<="))
+    elif isinstance(node, Atom):
+        out.append(LinCon.make(node.expr.coeffs, node.expr.const, node.op))
+    elif isinstance(node, And):
+        for arg in node.args:
+            _collect_lincons(arg, out)
+    elif isinstance(node, Or):
+        live = [arg for arg in node.args if arg != FALSE]
+        if not live:
+            out.append(LinCon.make({}, 1, "<="))
+        elif len(live) == 1:
+            _collect_lincons(live[0], out)
+    elif isinstance(node, Not):
+        if isinstance(node.arg, Atom) and node.arg.op == "==":
+            atom = node.arg
+            out.append(LinCon.make(atom.expr.coeffs, atom.expr.const, "!="))
+
+
+class ReferenceIntervalOracle:
+    """The interval tier as a formula round trip, kept as a parity oracle.
+
+    ``begin_record`` residualizes every rule formula; every ``fix`` turns
+    the whole state back into formulas and refolds all of it; every query
+    propagates from scratch.  :class:`IntervalOracle` must hold exactly
+    this state and give exactly these answers.
+    """
+
+    def __init__(self, rules, bounds):
+        self.rules = rules
+        self.bounds = dict(bounds)
+        self.fixed = {}
+        self.box = dict(bounds)
+        self.multi = []
+        self.disjunctive = []
+        self.refuted = False
+
+    def begin_record(self, fixed):
+        self.fixed = dict(fixed)
+        self.refuted = False
+        self._refold(self.rules.formulas(), self.fixed)
+        return not self.refuted and self._propagate(None, None) is not None
+
+    def _refold(self, formulas, fixed):
+        conjunctive, disjunctive = [], []
+        for formula in formulas:
+            reduced = residualize(formula, fixed)
+            if reduced == TRUE:
+                continue
+            if reduced == FALSE:
+                self.refuted = True
+                return
+            pure = _pure_conjunctive(reduced)
+            if pure is None:
+                disjunctive.append(reduced)
+                _collect_lincons(reduced, conjunctive)
+            else:
+                conjunctive.extend(pure)
+        box, rows = _fold_lincons(conjunctive, self.bounds)
+        for name, (low, high) in box.items():
+            if name in fixed and not low <= fixed[name] <= high:
+                self.refuted = True
+                return
+            if low > high:
+                self.refuted = True
+                return
+        multi = []
+        for row in rows:
+            formula = _row_formula(row)
+            if formula == FALSE:
+                self.refuted = True
+                return
+            _collect_lincons(formula, multi)
+        self.box, self.multi, self.disjunctive = box, multi, disjunctive
+
+    def fix(self, variable, value):
+        self.fixed[variable] = value
+        if self.refuted:
+            return
+        formulas = []
+        for con in self.multi:
+            expr = LinExpr(dict(con.items), con.const)
+            if con.op == "!=":
+                formulas.append(Not(Atom(expr, "==")))
+            else:
+                formulas.append(Atom(expr, con.op))
+        formulas.extend(self.disjunctive)
+        previous_box = self.box
+        self._refold(formulas, {variable: value})
+        merged = {}
+        for name, (low, high) in self.box.items():
+            prev_low, prev_high = previous_box.get(name, (low, high))
+            merged[name] = (max(low, prev_low), min(high, prev_high))
+            if merged[name][0] > merged[name][1] and name not in self.fixed:
+                self.refuted = True
+        self.box = merged
+
+    def _propagate(self, extra_var, extra_value):
+        if self.refuted:
+            return None
+        constraints = list(self.multi)
+        initial = {name: Interval(low, high) for name, (low, high) in self.box.items()}
+        for name, value in self.fixed.items():
+            initial[name] = Interval(value, value)
+        if extra_var is not None:
+            pin = initial.get(extra_var, Interval(extra_value, extra_value))
+            if not pin.contains(extra_value):
+                return None
+            initial[extra_var] = Interval(extra_value, extra_value)
+            for formula in self.disjunctive:
+                reduced = residualize(formula, {extra_var: extra_value})
+                if reduced == TRUE:
+                    continue
+                if reduced == FALSE:
+                    return None
+                _collect_lincons(reduced, constraints)
+        result = propagate(constraints, initial)
+        return result.domain if result.feasible else None
+
+    def feasible_set(self, variable):
+        domain = self._propagate(None, None)
+        if domain is None:
+            return FeasibleSet.empty()
+        interval = domain.get(variable)
+        low_default, high_default = self.box.get(variable, self.bounds[variable])
+        if interval is None:
+            return FeasibleSet.from_interval(low_default, high_default)
+        low = low_default if interval.lower is None else interval.lower
+        high = high_default if interval.upper is None else interval.upper
+        low_bound, high_bound = self.bounds[variable]
+        return FeasibleSet.from_interval(low, high).intersect_interval(
+            low_bound, high_bound
+        )
+
+    def confirm(self, variable, value):
+        return self._propagate(variable, value) is not None
+
+
+@pytest.fixture(scope="module")
+def mined_context():
+    from repro.bench.common import get_context
+
+    return get_context()
+
+
+@pytest.fixture
+def propagation_log(monkeypatch):
+    """Every propagation run in the test, as its ``converged`` flag."""
+    log = []
+    plain_run = intervals.PreparedSystem.run
+
+    def run(self, *args, **kwargs):
+        result = plain_run(self, *args, **kwargs)
+        log.append(result.converged)
+        return result
+
+    monkeypatch.setattr(intervals.PreparedSystem, "run", run)
+    return log
+
+
+def _assert_same_state(oracle, reference, bounds):
+    assert oracle._refuted == reference.refuted
+    if not reference.refuted:
+        assert oracle._box == reference.box
+        assert oracle._multi_cons == reference.multi
+        assert [formula for formula, _ in oracle._disjunctive] == reference.disjunctive
+    for variable, (low, high) in bounds.items():
+        if variable in reference.fixed:
+            continue
+        assert oracle.feasible_set(variable) == reference.feasible_set(variable)
+        for value in range(low, high + 1):
+            assert oracle.confirm(variable, value) == reference.confirm(
+                variable, value
+            ), (variable, value)
+
+
+def _drive(rules, bounds, prompts, seed, fixes_per_record):
+    rng = random.Random(seed)
+    for prompt in prompts:
+        oracle = IntervalOracle(rules, bounds)
+        reference = ReferenceIntervalOracle(rules, bounds)
+        feasible = reference.begin_record(prompt)
+        try:
+            oracle.begin_record(prompt)
+        except InfeasibleRecordError:
+            assert not feasible
+        else:
+            assert feasible
+        _assert_same_state(oracle, reference, bounds)
+        free = [name for name in bounds if name not in prompt]
+        rng.shuffle(free)
+        for variable in free[:fixes_per_record]:
+            options = reference.feasible_set(variable)
+            low, high = bounds[variable]
+            if not options.is_empty() and rng.random() < 0.8:
+                low, high = options.min_value, options.max_value
+            value = rng.randint(low, high)
+            oracle.fix(variable, value)
+            reference.fix(variable, value)
+            _assert_same_state(oracle, reference, bounds)
+
+
+class TestCompiledIntervalTier:
+    """The compiled, incremental tier against the formula round trip."""
+
+    @pytest.mark.parametrize(
+        "build", [paper_rules, zoom2net_manual_rules, domain_bound_rules]
+    )
+    def test_builtin_packs_match_reference(self, build, propagation_log):
+        rules = build(CONFIG)
+        prompts = [PROMPT, {}, {"total": 20, "cong": 3, "retx": 0, "egr": 20},
+                   {"total": 60, "cong": 0}]
+        for seed in range(3):
+            _drive(rules, BOUNDS, prompts, seed, fixes_per_record=5)
+        assert propagation_log and all(propagation_log)
+
+    def test_mined_imputation_pack_matches_reference(
+        self, mined_context, propagation_log
+    ):
+        rules = mined_context.imputation_rules
+        bounds = variable_bounds(mined_context.dataset.config)
+        prompts = [
+            {name: window.variables()[name] for name in COARSE_FIELDS}
+            for window in mined_context.test_windows()[:6]
+        ]
+        prompts.append({"total": 250, "cong": 5, "retx": 5, "egr": 0})
+        _drive(rules, bounds, prompts, seed=11, fixes_per_record=5)
+        assert propagation_log and all(propagation_log)
+
+    def test_rule_added_after_compiling_recompiles(self):
+        rules = paper_rules(CONFIG)
+        pack = compiled_pack(rules)
+        assert compiled_pack(rules) is pack
+        rules.add(Rule("cap-I0", Le(IntVar("I0"), 7), kind="test"))
+        recompiled = compiled_pack(rules)
+        assert recompiled is not pack
+        assert len(recompiled) == len(rules)
+        oracle = IntervalOracle(rules, BOUNDS)
+        oracle.begin_record(PROMPT)
+        assert oracle.feasible_set("I0").max_value == 7

@@ -3,10 +3,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.smt.intervals import Interval, propagate
+from repro.smt.intervals import Interval, PreparedSystem, propagate
 from repro.smt.lincon import LinCon
 
 VARS = ["x", "y", "z"]
@@ -118,6 +118,19 @@ class TestPropagation:
     def test_ground_false_constraint(self):
         assert not propagate([LinCon.make({}, 1, "<=")]).feasible
 
+    def test_iteration_cap_is_reported(self):
+        # x <= 10, x <= y - 1, y <= x - 1: each pass lowers both upper
+        # bounds by one and nothing stops the descent.
+        cons = [
+            LinCon.make({"x": 1}, -10, "<="),
+            LinCon.make({"x": 1, "y": -1}, 1, "<="),
+            LinCon.make({"y": 1, "x": -1}, 1, "<="),
+        ]
+        result = propagate(cons)
+        assert not result.converged
+        assert result.feasible  # the capped domain is sound, not refuted
+        assert propagate(cons[:2]).converged
+
 
 con_strategy = st.builds(
     lambda coeffs, const, op: LinCon.make(dict(zip(VARS, coeffs)), const, op),
@@ -144,3 +157,26 @@ def test_soundness_no_solution_pruned(random_cons):
             for name, value in assignment.items():
                 if name in result.domain:
                     assert result.domain[name].contains(value)
+
+
+@given(
+    st.lists(con_strategy, min_size=1, max_size=6),
+    st.lists(con_strategy, max_size=2),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_converged_result_is_order_independent(random_cons, extra, box, rnd):
+    """A converged fixpoint depends only on the constraint set: it is the
+    same under any visiting order and whether the system was prepared
+    once (with per-run extras) or propagated from scratch."""
+    cons = (bounded() if box else []) + random_cons
+    plain = propagate(cons + extra)
+    shuffled = cons + extra
+    rnd.shuffle(shuffled)
+    runs = [propagate(shuffled), PreparedSystem(cons).run(None, extra)]
+    assume(plain.converged and all(run.converged for run in runs))
+    for run in runs:
+        assert run.feasible == plain.feasible
+        if plain.feasible:
+            assert run.domain == plain.domain
