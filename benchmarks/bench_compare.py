@@ -55,8 +55,6 @@ STREAM_LOWER_BETTER_MS = ("lag_p50_ms", "lag_p99_ms")
 STREAM_HIGHER_BETTER = ("emitted_per_sec",)
 DECODE_HIGHER_BETTER = ("lm_tokens_per_sec", "records_per_sec")
 DECODE_SPEEDUPS = ("lm_speedup", "e2e_speedup")
-MASK_HIGHER_BETTER = ("e2e_speedup", "solver_query_reduction",
-                      "mask_hit_rate")
 
 
 class Finding:
@@ -205,13 +203,12 @@ def compare_stream(base: Mapping, cand: Mapping, tolerance: float,
 
 def compare_decode(base: Mapping, cand: Mapping, tolerance: float,
                    floor_ms: float) -> List[Finding]:
-    """Decode + mask-table report: BENCH_decode.json shape.
+    """Decode report: BENCH_decode.json shape.
 
     ``windows`` rows carry the KV-cache story (tokens/s and rec/s per
     decode mode, speedups); the ``lanes`` section the batched-decode
-    curve (tokens/s and rec/s per lane count); the ``mask`` section
-    carries the compiled mask-table story per oracle config.  Byte parity
-    never gets a band: a parity flip is a correctness bug wearing a perf
+    curve (tokens/s and rec/s per lane count).  Byte parity never gets
+    a band: a parity flip is a correctness bug wearing a perf
     costume.
     """
     findings: List[Finding] = []
@@ -258,43 +255,9 @@ def compare_decode(base: Mapping, cand: Mapping, tolerance: float,
                                 base_lanes.get("parity"),
                                 cand_lanes.get("parity"), b_par and not c_par,
                                 note="must stay byte-identical"))
-    base_mask, cand_mask = base.get("mask") or {}, cand.get("mask") or {}
-    cand_oracles = cand_mask.get("oracles", {})
-    same_workload = base_mask.get("records") == cand_mask.get("records")
-    for oracle, base_row in base_mask.get("oracles", {}).items():
-        cand_row = cand_oracles.get(oracle)
-        where = f"mask(oracle={oracle})"
-        if cand_row is None:
-            findings.append(Finding(where, "<config>", "present", "missing",
-                                    False, note="not run by candidate"))
-            continue
-        matched += 1
-        for arm in ("live", "mask"):
-            base_arm = base_row.get("arms", {}).get(arm, {})
-            cand_arm = cand_row.get("arms", {}).get(arm, {})
-            _check_higher(findings, f"{where}[{arm}]", "records_per_sec",
-                          base_arm, cand_arm, tolerance)
-        # Live-query counts are deterministic in (seed, prompts, rules),
-        # so the mask arm's residual solver traffic gets no noise band --
-        # but per-record normalisation only lines up at equal workload
-        # sizes (first-visit fallbacks amortise over the record count).
-        if same_workload:
-            _check_non_increasing(
-                findings, f"{where}[mask]", "solver_queries_per_record",
-                base_row.get("arms", {}).get("mask", {}),
-                cand_row.get("arms", {}).get("mask", {}))
-        base_hit = {"mask_hit_rate":
-                    base_row.get("arms", {}).get("mask", {}).get("mask_hit_rate")}
-        cand_hit = {"mask_hit_rate":
-                    cand_row.get("arms", {}).get("mask", {}).get("mask_hit_rate")}
-        for metric in MASK_HIGHER_BETTER:
-            src_b = base_hit if metric == "mask_hit_rate" else base_row
-            src_c = cand_hit if metric == "mask_hit_rate" else cand_row
-            _check_higher(findings, where, metric, src_b, src_c, tolerance)
-        _check_bool(findings, where, "parity", base_row, cand_row)
     if not matched:
         raise SystemExit(
-            "bench_compare: no candidate window/oracle matches any "
+            "bench_compare: no candidate window/lane count matches any "
             "baseline row -- wrong file pair?")
     return findings
 

@@ -236,130 +236,6 @@ def test_batched_engine_throughput(results_dir):
 
 
 # ---------------------------------------------------------------------------
-# Compiled mask-table bench: the solver leaves the decode hot path.
-# ---------------------------------------------------------------------------
-
-#: Oracle ablation sweep (DESIGN.md): the optimistic hybrid already keeps
-#: SMT off the per-query path, so it brackets the *smallest* win the mask
-#: table can show; strict hybrid (per-variable SMT confirmation) is where
-#: the paper's solver-in-the-loop guarantee actually costs, and the pure
-#: SMT tier is the worst case the table rescues.
-MASK_ORACLE_SWEEP = (
-    ("hybrid_optimistic", dict(oracle="hybrid", optimistic=True)),
-    ("hybrid_strict", dict(oracle="hybrid", optimistic=False)),
-    ("smt", dict(oracle="smt")),
-)
-
-
-def run_mask_bench(records=120, trials=3, seed=5):
-    """End-to-end imputation with the compiled mask table on vs off.
-
-    Solver-side counterpart to the LM-side decode bench: the LM and the
-    prompt stream are identical in both arms of every oracle config, so
-    any throughput delta is pure oracle work.  Compilation happens at
-    enforcer construction, outside the timed region (that is the point --
-    the compile is an offline, per-rule-set cost amortised across every
-    record).
-
-    Per (oracle, arm): end-to-end records/s, live solver queries per
-    record (queries the oracle had to compute instead of answering from
-    the table -- tracked in both arms for comparability), and live
-    queries serviced per second.  Each oracle row also carries the mask
-    arm's table hit rate, the e2e speedup, the live-query reduction
-    factor, and a byte-parity bool over the full output stream.
-    """
-    dataset = build_dataset(
-        num_train_racks=4, num_test_racks=1, windows_per_rack=40, seed=seed
-    )
-    model = NgramLM(order=6).fit(dataset.train_texts())
-    rules = paper_rules(dataset.config)
-    fallback = [domain_bound_rules(dataset.config)]
-    prompts = [w.coarse() for w in dataset.test_windows()]
-    prompts = (prompts * ((records + len(prompts) - 1) // len(prompts)))
-    prompts = prompts[:records]
-
-    report = {"records": records, "trials": trials, "oracles": {}}
-    for oracle_label, overrides in MASK_ORACLE_SWEEP:
-        entry = {"arms": {}}
-        outputs = {}
-        for mask in (False, True):
-            best = 0.0
-            stats = None
-            for _ in range(trials):
-                _clear_process_memos(model)
-                enforcer = JitEnforcer(  # compile+prime lands here, untimed
-                    model, rules, dataset.config,
-                    EnforcerConfig(seed=13, mask_table=mask, **overrides),
-                    fallback_rules=fallback,
-                )
-                start = time.perf_counter()
-                outputs[mask] = [
-                    enforcer.impute(prompt) for prompt in prompts
-                ]
-                rate = len(prompts) / (time.perf_counter() - start)
-                if rate > best:
-                    best = rate
-                    stats = enforcer.mask_stats.snapshot()
-            queries_per_record = stats["live_queries"] / records
-            entry["arms"]["mask" if mask else "live"] = {
-                "records_per_sec": round(best, 1),
-                "solver_queries_per_record": round(queries_per_record, 2),
-                "solver_queries_per_sec": round(queries_per_record * best, 1),
-                "mask_hit_rate": round(stats["hit_rate"], 3),
-            }
-        entry["parity"] = outputs[False] == outputs[True]
-        live, masked = entry["arms"]["live"], entry["arms"]["mask"]
-        entry["e2e_speedup"] = round(
-            masked["records_per_sec"] / live["records_per_sec"], 2
-        )
-        entry["solver_query_reduction"] = round(
-            live["solver_queries_per_record"]
-            / max(masked["solver_queries_per_record"], 1e-9), 1,
-        )
-        report["oracles"][oracle_label] = entry
-    return report
-
-
-def _format_mask(report):
-    lines = ["Compiled mask-table bench (paper pack, n-gram LM)", "",
-             f"{'oracle':>18s}{'arm':>6s}{'rec/s':>9s}{'q/rec':>8s}"
-             f"{'q/s':>9s}{'hit':>7s}{'speedup':>9s}{'q-red':>8s}"
-             f"{'parity':>16s}"]
-    for oracle_label, entry in report["oracles"].items():
-        for arm in ("live", "mask"):
-            stats = entry["arms"][arm]
-            row = (f"{oracle_label if arm == 'live' else '':>18s}"
-                   f"{arm:>6s}{stats['records_per_sec']:>9.1f}"
-                   f"{stats['solver_queries_per_record']:>8.2f}"
-                   f"{stats['solver_queries_per_sec']:>9.1f}"
-                   f"{stats['mask_hit_rate']:>7.3f}")
-            if arm == "mask":
-                row += (f"{entry['e2e_speedup']:>8.2f}x"
-                        f"{entry['solver_query_reduction']:>7.1f}x"
-                        f"{'byte-identical' if entry['parity'] else 'DIVERGED':>16s}")
-            lines.append(row)
-    return "\n".join(lines)
-
-
-@pytest.mark.benchmark(group="scaling")
-def test_mask_table_throughput(results_dir):
-    """CI smoke: the mask table must pay for itself on the serial path.
-
-    The assertion floors are lenient for shared runners (the committed
-    BENCH_decode.json baseline carries the real numbers: >=2x e2e on the
-    strict hybrid and >10x fewer live solver queries per record); byte
-    parity has no band in any oracle config.
-    """
-    report = run_mask_bench(records=60, trials=2)
-    write_result(results_dir, "mask", _format_mask(report))
-    for entry in report["oracles"].values():
-        assert entry["parity"]
-    strict = report["oracles"]["hybrid_strict"]
-    assert strict["e2e_speedup"] >= 1.5
-    assert strict["solver_query_reduction"] >= 4.0
-
-
-# ---------------------------------------------------------------------------
 # Decode-mode bench: incremental (KV cache) vs full re-encode, by length.
 # ---------------------------------------------------------------------------
 
@@ -581,8 +457,6 @@ def test_decode_mode_throughput(results_dir):
     guard -- any byte drift between modes fails the job outright.
     """
     report = run_decode_bench(windows=(16,), records=8, trials=2)
-    out = results_dir / "BENCH_decode.json"
-    out.write_text(json.dumps(report, indent=2) + "\n")
     write_result(results_dir, "decode", _format_decode(report))
     entry = report["windows"]["16"]
     assert entry["record_chars"] >= 48
@@ -620,14 +494,10 @@ if __name__ == "__main__":
             result = run_decode_bench(windows=(16,), modes=modes,
                                       records=8, trials=2)
             result["lanes"] = run_lanes_sweep(trials=2)
-            result["mask"] = run_mask_bench(records=60, trials=2)
         else:
             result = run_decode_bench(modes=modes)
             result["lanes"] = run_lanes_sweep()
-            result["mask"] = run_mask_bench()
         print(_format_decode(result))
-        print()
-        print(_format_mask(result["mask"]))
         out_path = cli_args.out or "BENCH_decode.json"
     else:
         result = run_batched_throughput(

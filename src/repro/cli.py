@@ -332,23 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     rules_promote.add_argument("ref", type=_rule_pack_ref,
                                metavar="NAME@VERSION")
     rules_promote.add_argument("--dir", required=True, type=Path)
-    rules_compile = rules_sub.add_parser(
-        "compile",
-        help="compile a pack into a mask-table artifact (lejit-masks/1)",
-    )
-    rules_compile.add_argument(
-        "ref", type=_rule_pack_ref, metavar="NAME[@VERSION]"
-    )
-    rules_compile.add_argument("--dir", type=Path, default=None)
-    rules_compile.add_argument(
-        "--out", type=Path, default=None,
-        help="write the versioned artifact file here",
-    )
-    rules_compile.add_argument(
-        "--check", type=Path, default=None,
-        help="load an existing artifact and verify it is byte-identical "
-             "to a fresh compile (exit 1 on mismatch)",
-    )
 
     bench_cmd = sub.add_parser(
         "bench-serving", help="open-loop Poisson load benchmark of the server"
@@ -464,12 +447,6 @@ def _add_decode_args(cmd: argparse.ArgumentParser) -> None:
         help="incremental = per-lane KV cache (default); full = re-encode "
         "the whole prefix each step (bytes are identical either way)",
     )
-    cmd.add_argument(
-        "--mask-table", action="store_true",
-        help="answer feasibility from a compiled mask table on states the "
-        "offline compiler proved exact, reaching the live solver only on "
-        "imprecise ones (bytes are identical either way)",
-    )
 
 
 def _add_trace_args(cmd: argparse.ArgumentParser) -> None:
@@ -526,7 +503,6 @@ def _enforcer_config_from(args) -> EnforcerConfig:
         max_budget_retries=args.budget_retries,
         posthoc_repair=not args.no_posthoc_repair,
         decode_mode=getattr(args, "decode_mode", "incremental"),
-        mask_table=getattr(args, "mask_table", False),
     )
 
 
@@ -568,17 +544,8 @@ def _report_degradations(
     pairs = [("records_per_sec", f"{throughput:.1f}")]
     if cache is not None:
         pairs.append(("oracle_cache_hit_rate", f"{cache.hit_rate():.4f}"))
+    pairs.append(("live_queries", enforcer.mask_stats.live_queries))
     emit_kv("throughput", pairs)
-    mask = enforcer.mask_stats
-    if enforcer.config.mask_table or mask.live_queries:
-        emit_kv("mask_lookup", [
-            ("enabled", str(bool(enforcer.config.mask_table)).lower()),
-            ("hits", mask.hits),
-            ("fallbacks", mask.fallbacks),
-            ("live_queries", mask.live_queries),
-            ("replays", mask.replays),
-            ("hit_rate", f"{mask.hit_rate():.4f}"),
-        ])
 
 
 def _load_windows(path: Path) -> List[dict]:
@@ -771,37 +738,6 @@ def _cmd_rules(args) -> int:
             "name": handle.name, "version": handle.version,
             "hash": handle.content_hash, "rules": len(handle.rules),
         }))
-        return 0
-    if args.rules_command == "compile":
-        from .data import variable_bounds
-        from .rules import compile_rules, load_mask_table, save_mask_table
-
-        registry = _open_registry(args.dir, config)
-        try:
-            handle = registry.resolve(args.ref)
-        except (UnknownRuleSet, RetiredRuleSet) as exc:
-            raise SystemExit(str(exc))
-        table = compile_rules(
-            handle.rules, variable_bounds(config),
-            fingerprint=handle.content_hash,
-        )
-        if args.check is not None:
-            try:
-                existing = load_mask_table(
-                    args.check, expected_fingerprint=handle.content_hash
-                )
-            except (OSError, ValueError) as exc:
-                raise SystemExit(f"cannot verify {args.check}: {exc}")
-            if existing.artifact_bytes() != table.artifact_bytes():
-                raise SystemExit(
-                    f"artifact {args.check} differs from a fresh compile "
-                    f"of {handle.ref} -- stale or corrupted"
-                )
-            emit_kv("mask_artifact", [("check", args.check), ("ok", "true")])
-        if args.out is not None:
-            save_mask_table(table, args.out)
-            emit_kv("mask_artifact", [("out", args.out)])
-        print(json.dumps({"ref": handle.ref, **table.describe()}))
         return 0
     # promote
     registry = RuleSetRegistry(root=args.dir)

@@ -37,7 +37,6 @@ from ..data.dataset import variable_bounds
 from ..data.telemetry import COARSE_FIELDS, TelemetryConfig, fine_field
 from ..lm.base import LanguageModel
 from ..obs import OBS, Sample
-from ..rules.compile import CompiledMaskTable, MaskLookupStats, compile_rules
 from ..rules.dsl import RuleSet
 from ..rules.io import rules_fingerprint
 from ..rules.registry import RuleSetHandle
@@ -46,6 +45,7 @@ from .feasible import (
     FeasibilityOracle,
     HybridOracle,
     IntervalOracle,
+    MaskLookupStats,
     OracleCache,
     SmtOracle,
 )
@@ -142,7 +142,7 @@ def _enforcer_samples(enforcer: "JitEnforcer") -> List[Sample]:
             help="Oracle cache resident entries",
         ))
         # Per-partition breakdown (partition = rule-set fingerprint): makes
-        # the mask automaton's fallback traffic attributable per tenant.
+        # each tenant's oracle traffic attributable.
         for partition, row in stats.get("partitions", {}).items():
             labels = {"fingerprint": str(partition)}
             for key in ("hits", "misses", "evictions"):
@@ -169,24 +169,18 @@ def _enforcer_samples(enforcer: "JitEnforcer") -> List[Sample]:
                 labels={"backend": backend},
                 help=f"LM decode cache {key}",
             ))
-    # Compiled-mask fast-path accounting.  live_queries is maintained even
-    # with mask tables off, so mask-on/off scrapes are directly comparable.
+    # Oracle-operation accounting; hits and fallbacks always read 0 (see
+    # MaskLookupStats).
     mask = enforcer.mask_stats
     samples.extend([
         Sample.counter("repro_mask_lookup_hits_total", mask.hits,
-                       help="Oracle queries answered by compiled mask table"),
+                       help="Mask-store hits (always 0: no mask store)"),
         Sample.counter("repro_mask_lookup_fallbacks_total", mask.fallbacks,
-                       help="Mask-table lookups on imprecise states "
-                            "(fell back to the live solver)"),
+                       help="Mask-store fallbacks (always 0: no mask store)"),
         Sample.counter("repro_mask_lookup_live_queries_total",
                        mask.live_queries,
                        help="Oracle queries that reached live solver "
                             "machinery"),
-        Sample.counter("repro_mask_lookup_replays_total", mask.replays,
-                       help="Lazy live-state reconstructions after "
-                            "table-only record prefixes"),
-        Sample.gauge("repro_mask_lookup_hit_rate", mask.hit_rate(),
-                     help="Mask-table hits / (hits + fallbacks)"),
     ])
     return samples
 
@@ -249,13 +243,9 @@ class JitEnforcer:
             if self.config.oracle_cache_entries > 0
             else None
         )
-        # Compiled mask tables, one per rule-set content fingerprint.  The
-        # stats object is shared by every oracle tier of every lane (the
-        # counters describe the enforcer, not a tier) and is maintained even
-        # with tables off so mask-on/off runs report comparable live-query
-        # totals.
+        # Shared by every oracle tier of every lane: the counters describe
+        # the enforcer, not a tier.
         self.mask_stats = MaskLookupStats()
-        self._mask_tables: Dict[str, CompiledMaskTable] = {}
         self._lane = self._build_lane()
         self.meter = self._lane.meter
         # One-row KV cache for the synchronous driver's single lane;
@@ -316,16 +306,14 @@ class JitEnforcer:
                       mask_stats=self.mask_stats)
         tiers = [
             (tier_rules, wrap(oracle_cls(
-                tier_rules, self.bounds, meter=meter,
-                mask_table=self.mask_table_for(tier_rules), **kwargs)))
+                tier_rules, self.bounds, meter=meter, **kwargs)))
             for tier_rules in all_rules
         ]
         # Interval-only tiers for the "interval-audit" ladder stage: pure
         # bounds propagation, no solver, so they survive budget exhaustion.
         interval_tiers = [
             (tier_rules, wrap(IntervalOracle(
-                tier_rules, self.bounds, meter=meter,
-                mask_table=self.mask_table_for(tier_rules), **kwargs)))
+                tier_rules, self.bounds, meter=meter, **kwargs)))
             for tier_rules in all_rules
         ]
         return Lane(
@@ -336,40 +324,6 @@ class JitEnforcer:
             cache=resolved_cache,
             pool_reuse=resolved_pool,
         )
-
-    def mask_table_for(self, rules: RuleSet) -> Optional[CompiledMaskTable]:
-        """The compiled mask table for ``rules``, one per fingerprint.
-
-        Returns None (oracles run pure-live) unless ``config.mask_table``
-        is set.  Tables adopted from a registry artifact (see
-        :meth:`adopt_mask_table`) win; otherwise the pack is compiled in
-        place -- compilation is deterministic, so either source yields the
-        byte-identical artifact.  The table's digit automata are pushed
-        into the transition-system memo so first-touch per-character masks
-        are table hits too.
-        """
-        if not self.config.mask_table:
-            return None
-        fingerprint = rules_fingerprint(rules)
-        table = self._mask_tables.get(fingerprint)
-        if table is None:
-            table = compile_rules(rules, self.bounds, fingerprint=fingerprint)
-            self._mask_tables[fingerprint] = table
-            table.prime_transition_memo()
-        return table
-
-    def adopt_mask_table(self, table: CompiledMaskTable) -> None:
-        """Install a registry-compiled artifact ahead of lane binding.
-
-        The serving scheduler calls this when a resolved handle's registry
-        already built the pack's table (build-on-register), sparing each
-        process a recompile.  No-op when mask tables are disabled.
-        """
-        if not self.config.mask_table:
-            return
-        if table.fingerprint not in self._mask_tables:
-            self._mask_tables[table.fingerprint] = table
-            table.prime_transition_memo()
 
     def bind_lane(
         self, lane: Lane, handle: Optional[RuleSetHandle]

@@ -23,6 +23,7 @@ Three implementations realize the solver-tier ablation of DESIGN.md:
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..errors import InfeasibleRecord, SolverBudgetExceeded
@@ -56,6 +57,7 @@ __all__ = [
     "HybridOracle",
     "InfeasibleRecordError",
     "OracleCache",
+    "MaskLookupStats",
 ]
 
 Bounds = Mapping[str, Tuple[int, int]]
@@ -406,6 +408,23 @@ class InfeasibleRecordError(InfeasibleRecord):
     """The rules admit no completion for the current record prefix."""
 
 
+@dataclass
+class MaskLookupStats:
+    """Oracle-operation counters shared by every oracle of one enforcer.
+
+    ``live_queries`` counts the operations that reached an oracle's
+    solver or propagation machinery: begins, feasible-set queries,
+    confirmations and model extractions.  ``hits`` and ``fallbacks``
+    counted lookups in a precomputed mask store, which no longer exists;
+    they stay at 0 so the ``repro_mask_lookup_*`` metric family keeps
+    its names.
+    """
+
+    hits: int = 0
+    fallbacks: int = 0
+    live_queries: int = 0
+
+
 class FeasibilityOracle:
     """Common interface; concrete oracles override the query methods.
 
@@ -420,20 +439,9 @@ class FeasibilityOracle:
     tiers keep one solver instance across that many consecutive records
     (reset via push/pop) instead of rebuilding it per record.
 
-    ``mask_table`` (optional) is a compiled
-    :class:`~repro.rules.compile.CompiledMaskTable` for this rule set
-    (duck-typed: the rules package cannot import core).  When present,
-    every query first consults the table's per-record abstract state and
-    answers by integer lookup on states the compiler proved *exact* --
-    provably equal to this oracle's own answer -- falling back to the
-    live machinery only on imprecise states.  Live solver state is built
-    lazily: a record whose queries are all table-answered never touches a
-    solver, and the first live-needed query replays the record's
-    begin+fix history (the state key) to reconstruct the identical live
-    state a mask-off run would hold, preserving byte parity.
-    ``mask_stats`` is a shared :class:`~repro.rules.compile.MaskLookupStats`
-    accumulating hit/fallback/live counters across every oracle of one
-    enforcer.
+    ``mask_stats`` (optional) is a :class:`MaskLookupStats` shared by
+    every oracle of one enforcer; each begin, feasible-set query,
+    confirmation and model extraction counts one ``live_queries``.
     """
 
     def __init__(
@@ -443,8 +451,7 @@ class FeasibilityOracle:
         meter: Optional[BudgetMeter] = None,
         cache: Optional[OracleCache] = None,
         pool_reuse: int = 0,
-        mask_table=None,
-        mask_stats=None,
+        mask_stats: Optional[MaskLookupStats] = None,
     ):
         self.rules = rules
         self.bounds = dict(bounds)
@@ -452,13 +459,7 @@ class FeasibilityOracle:
         self.meter = meter
         self.cache = cache
         self.pool_reuse = int(pool_reuse)
-        self.mask_table = mask_table
         self.mask_stats = mask_stats
-        # Where the last answer came from: "mask" (table lookup) or "live".
-        # Observability reads this to split solver spans by source.
-        self.last_source = "live"
-        self._mask_state = None  # per-record abstract state, if a table is set
-        self._live_ready = True  # live machinery reflects the state key
         # Content-hashed tag: the fingerprint is the cache *partition*, so
         # oracles over identical rule content share entries (across lanes,
         # tenants, and hot-swap rebinds) while differing content -- even
@@ -495,120 +496,9 @@ class FeasibilityOracle:
         self.cache.store(key, feasible)
         return feasible
 
-    # -- compiled-mask fast path ------------------------------------------------
-    #
-    # The table's per-record state mirrors the live refold exactly; on
-    # states the compiler proved exact, its answers equal the live
-    # oracle's, so serving them preserves byte parity.  Each helper
-    # returns None (or False for _mask_begin) when the live path must
-    # answer instead.
-
-    def _mask_begin(self, fixed: Optional[Mapping[str, int]]) -> bool:
-        """Open the record on the compiled table; True when the table owns
-        it (live machinery stays untouched until a query needs it)."""
-        self.fixed = {k: int(v) for k, v in (fixed or {}).items()}
-        self._reset_state_key(self.fixed)
-        self._mask_state = None
-        self._live_ready = True
-        table = self.mask_table
-        if table is None:
-            return False
-        state = table.open_record(self.fixed)
-        self._mask_state = state
-        stats = self.mask_stats
-        if state.infeasible():
-            # Definite: the conjunctive fragment alone is violated, so the
-            # live path would refute too -- raise without touching it.
-            if stats is not None:
-                stats.hits += 1
-            self.last_source = "mask"
-            raise InfeasibleRecordError(
-                f"compiled mask table refutes fixed values {self.fixed}"
-            )
-        if not state.exact():
-            if stats is not None:
-                stats.fallbacks += 1
-            return False
-        if stats is not None:
-            stats.hits += 1
-        self.last_source = "mask"
-        self._live_ready = False
-        return True
-
-    def _mask_feasible_set(self, variable: str) -> Optional[FeasibleSet]:
-        state = self._mask_state
-        if state is None:
-            return None
-        stats = self.mask_stats
-        if state.infeasible():
-            if stats is not None:
-                stats.hits += 1
-            self.last_source = "mask"
-            return FeasibleSet.empty()
-        if not state.exact():
-            if stats is not None:
-                stats.fallbacks += 1
-            return None
-        if stats is not None:
-            stats.hits += 1
-        self.last_source = "mask"
-        interval = state.project(variable)
-        if interval is None:
-            return FeasibleSet.empty()
-        return FeasibleSet.from_interval(interval[0], interval[1])
-
-    def _mask_confirm(self, variable: str, value: int) -> Optional[bool]:
-        state = self._mask_state
-        if state is None:
-            return None
-        stats = self.mask_stats
-        if state.infeasible():
-            if stats is not None:
-                stats.hits += 1
-            self.last_source = "mask"
-            return False
-        if not state.exact():
-            if stats is not None:
-                stats.fallbacks += 1
-            return None
-        if stats is not None:
-            stats.hits += 1
-        self.last_source = "mask"
-        return state.contains(variable, int(value))
-
-    def _mask_fix(self, variable: str, value: int) -> None:
-        if self._mask_state is not None:
-            self._mask_state.assign(variable, int(value))
-
-    def _count_live(self) -> None:
-        self.last_source = "live"
+    def _count_query(self) -> None:
         if self.mask_stats is not None:
             self.mask_stats.live_queries += 1
-
-    def _ensure_live(self) -> None:
-        """Replay the record's begin+fix history into the live machinery.
-
-        Only reached when ``begin_record`` was table-answered (a precise
-        state) and a later operation needs the live path.  The state key
-        *is* the replay log: re-running ``_begin_record_impl`` with the
-        base assignment and re-applying each fix in order reconstructs --
-        state key included -- exactly the live state a mask-off run would
-        hold here, so every subsequent answer matches byte for byte.
-        """
-        if self._live_ready:
-            return
-        self._live_ready = True
-        if self.mask_stats is not None:
-            self.mask_stats.replays += 1
-        base_items, fix_items = self._state_key
-        self._begin_record_impl(dict(base_items))
-        for variable, value in fix_items:
-            self.fixed[variable] = value
-            self._extend_state_key(variable, value)
-            self._live_fix(variable, value)
-
-    def _live_fix(self, variable: str, value: int) -> None:
-        raise NotImplementedError
 
     def begin_record(self, fixed: Optional[Mapping[str, int]] = None) -> None:
         """Start a fresh record with the given already-known variables."""
@@ -627,8 +517,6 @@ class FeasibilityOracle:
         """
         self.fixed = {}
         self._state_key = ((), ())
-        self._mask_state = None
-        self._live_ready = True
 
     def feasible_set(self, variable: str) -> FeasibleSet:
         raise NotImplementedError
@@ -690,8 +578,7 @@ class SmtOracle(FeasibilityOracle):
         meter: Optional[BudgetMeter] = None,
         cache: Optional[OracleCache] = None,
         pool_reuse: int = 0,
-        mask_table=None,
-        mask_stats=None,
+        mask_stats: Optional[MaskLookupStats] = None,
     ):
         super().__init__(
             rules,
@@ -699,7 +586,6 @@ class SmtOracle(FeasibilityOracle):
             meter,
             cache=cache,
             pool_reuse=pool_reuse,
-            mask_table=mask_table,
             mask_stats=mask_stats,
         )
         self._solver: Optional[Solver] = None
@@ -727,13 +613,11 @@ class SmtOracle(FeasibilityOracle):
         return self._solver
 
     def begin_record(self, fixed: Optional[Mapping[str, int]] = None) -> None:
-        if self._mask_begin(fixed):
-            return
-        self._count_live()
+        self._count_query()
         if not OBS.active:
-            return self._begin_record_impl(self.fixed)
+            return self._begin_record_impl(fixed)
         with OBS.profile("oracle_begin", oracle="smt"):
-            return self._begin_record_impl(self.fixed)
+            return self._begin_record_impl(fixed)
 
     def _begin_record_impl(self, fixed: Optional[Mapping[str, int]]) -> None:
         self.fixed = {k: int(v) for k, v in (fixed or {}).items()}
@@ -794,11 +678,7 @@ class SmtOracle(FeasibilityOracle):
         self._base_ok = True
 
     def feasible_set(self, variable: str) -> FeasibleSet:
-        masked = self._mask_feasible_set(variable)
-        if masked is not None:
-            return masked
-        self._count_live()
-        self._ensure_live()
+        self._count_query()
         return self._cached_feasible_set(variable, lambda: self._feasible_set(variable))
 
     def _feasible_set(self, variable: str) -> FeasibleSet:
@@ -816,11 +696,7 @@ class SmtOracle(FeasibilityOracle):
         return self.confirm_status(variable, value) == SAT
 
     def confirm_status(self, variable: str, value: int) -> str:
-        masked = self._mask_confirm(variable, value)
-        if masked is not None:
-            return SAT if masked else UNSAT
-        self._count_live()
-        self._ensure_live()
+        self._count_query()
         key = None
         if self.cache is not None:
             key = self._cache_key("confirm", variable, int(value))
@@ -842,11 +718,6 @@ class SmtOracle(FeasibilityOracle):
     def fix(self, variable: str, value: int) -> None:
         self.fixed[variable] = value
         self._extend_state_key(variable, value)
-        self._mask_fix(variable, value)
-        if self._live_ready:
-            self._live_fix(variable, value)
-
-    def _live_fix(self, variable: str, value: int) -> None:
         self._solver.push()
         self._open_levels += 1
         self._solver.add(Eq(IntVar(variable), value))
@@ -873,8 +744,7 @@ class SmtOracle(FeasibilityOracle):
         emitted record bytes -- those must come from verdicts and exact
         interval optima, which reuse does preserve.
         """
-        self._count_live()
-        self._ensure_live()
+        self._count_query()
         result = self._solver.check()
         if result.is_unknown:
             raise SolverBudgetExceeded(
@@ -990,8 +860,7 @@ class IntervalOracle(FeasibilityOracle):
         meter: Optional[BudgetMeter] = None,
         cache: Optional[OracleCache] = None,
         pool_reuse: int = 0,
-        mask_table=None,
-        mask_stats=None,
+        mask_stats: Optional[MaskLookupStats] = None,
     ):
         super().__init__(
             rules,
@@ -999,7 +868,6 @@ class IntervalOracle(FeasibilityOracle):
             meter,
             cache=cache,
             pool_reuse=pool_reuse,
-            mask_table=mask_table,
             mask_stats=mask_stats,
         )
         self._refuted = False
@@ -1051,13 +919,11 @@ class IntervalOracle(FeasibilityOracle):
         )
 
     def begin_record(self, fixed: Optional[Mapping[str, int]] = None) -> None:
-        if self._mask_begin(fixed):
-            return
-        self._count_live()
+        self._count_query()
         if not OBS.active:
-            return self._begin_record_impl(self.fixed)
+            return self._begin_record_impl(fixed)
         with OBS.profile("oracle_begin", oracle="interval"):
-            return self._begin_record_impl(self.fixed)
+            return self._begin_record_impl(fixed)
 
     def _begin_record_impl(self, fixed: Optional[Mapping[str, int]]) -> None:
         self.fixed = {k: int(v) for k, v in (fixed or {}).items()}
@@ -1171,11 +1037,7 @@ class IntervalOracle(FeasibilityOracle):
         return domain
 
     def feasible_set(self, variable: str) -> FeasibleSet:
-        masked = self._mask_feasible_set(variable)
-        if masked is not None:
-            return masked
-        self._count_live()
-        self._ensure_live()
+        self._count_query()
         return self._cached_feasible_set(variable, lambda: self._feasible_set(variable))
 
     def _feasible_set(self, variable: str) -> FeasibleSet:
@@ -1193,11 +1055,7 @@ class IntervalOracle(FeasibilityOracle):
         return self._clip(variable, FeasibleSet.from_interval(low, high))
 
     def confirm(self, variable: str, value: int) -> bool:
-        masked = self._mask_confirm(variable, value)
-        if masked is not None:
-            return masked
-        self._count_live()
-        self._ensure_live()
+        self._count_query()
         key = None
         if self.cache is not None:
             key = self._cache_key("confirm", variable, int(value))
@@ -1214,11 +1072,6 @@ class IntervalOracle(FeasibilityOracle):
     def fix(self, variable: str, value: int) -> None:
         self.fixed[variable] = value
         self._extend_state_key(variable, value)
-        self._mask_fix(variable, value)
-        if self._live_ready:
-            self._live_fix(variable, value)
-
-    def _live_fix(self, variable: str, value: int) -> None:
         if self._restore_istate():
             return
         if self._refuted:
@@ -1265,8 +1118,7 @@ class HybridOracle(FeasibilityOracle):
         meter: Optional[BudgetMeter] = None,
         cache: Optional[OracleCache] = None,
         pool_reuse: int = 0,
-        mask_table=None,
-        mask_stats=None,
+        mask_stats: Optional[MaskLookupStats] = None,
     ):
         super().__init__(
             rules,
@@ -1274,18 +1126,14 @@ class HybridOracle(FeasibilityOracle):
             meter,
             cache=cache,
             pool_reuse=pool_reuse,
-            mask_table=mask_table,
             mask_stats=mask_stats,
         )
-        # The sub-oracles own the mask fast path (each keeps its own
-        # per-record table state); the hybrid only mirrors last_source.
         self.interval = IntervalOracle(
             rules,
             bounds,
             meter,
             cache=cache,
             pool_reuse=pool_reuse,
-            mask_table=mask_table,
             mask_stats=mask_stats,
         )
         self.smt = SmtOracle(
@@ -1294,7 +1142,6 @@ class HybridOracle(FeasibilityOracle):
             meter,
             cache=cache,
             pool_reuse=pool_reuse,
-            mask_table=mask_table,
             mask_stats=mask_stats,
         )
 
@@ -1303,12 +1150,9 @@ class HybridOracle(FeasibilityOracle):
         self._reset_state_key(self.fixed)
         self.interval.begin_record(self.fixed)  # raises on interval refutation
         self.smt.begin_record(self.fixed)  # raises on exact refutation
-        self.last_source = self.smt.last_source
 
     def feasible_set(self, variable: str) -> FeasibleSet:
-        feasible = self.interval.feasible_set(variable)
-        self.last_source = self.interval.last_source
-        return feasible
+        return self.interval.feasible_set(variable)
 
     def confirm(self, variable: str, value: int) -> bool:
         return self.confirm_status(variable, value) == SAT
@@ -1316,11 +1160,8 @@ class HybridOracle(FeasibilityOracle):
     def confirm_status(self, variable: str, value: int) -> str:
         # Cheap refutation first, exact check second.
         if not self.interval.confirm(variable, value):
-            self.last_source = self.interval.last_source
             return UNSAT
-        status = self.smt.confirm_status(variable, value)
-        self.last_source = self.smt.last_source
-        return status
+        return self.smt.confirm_status(variable, value)
 
     def fix(self, variable: str, value: int) -> None:
         self.fixed[variable] = value

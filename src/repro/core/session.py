@@ -152,11 +152,6 @@ class EnforcerConfig:
     # re-encodes the whole prefix every step (the legacy behavior, and the
     # automatic fallback when a prefix outgrows the context window).
     decode_mode: str = "incremental"
-    # Answer feasibility queries from a compiled mask table (see
-    # rules/compile.py) on states the offline compiler proved exact,
-    # reaching the live solver only on imprecise states.  Byte-identical
-    # output either way -- the table never invents answers.
-    mask_table: bool = False
 
     def __post_init__(self) -> None:
         if self.oracle not in ("hybrid", "smt", "interval"):
@@ -889,8 +884,7 @@ class EnforcementSession:
         ) as ctx:
             feasible = oracle.feasible_set(name)
             size = feasible.count()
-            ctx.annotate(size=size,
-                         source=getattr(oracle, "last_source", "live"))
+            ctx.annotate(size=size)
         size_hist.observe(size)
         return feasible
 
@@ -906,8 +900,7 @@ class EnforcementSession:
             value=value,
         ) as ctx:
             status = oracle.confirm_status(name, value)
-            ctx.annotate(status=status,
-                         source=getattr(oracle, "last_source", "live"))
+            ctx.annotate(status=status)
         return status
 
     def _sample_literal(

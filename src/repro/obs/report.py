@@ -76,13 +76,8 @@ def aggregate(spans: Sequence[Dict]) -> Dict:
     # from traces predating the attribute count as "full".
     lm_mode_s: Dict[str, float] = {}
     lm_mode_calls: Dict[str, int] = {}
-    # Solver time split by answer source (the span's "source" attr:
-    # "mask" = compiled mask-table lookup, "live" = solver machinery).
-    # Spans from traces predating the attribute count as "live".
-    solver_source_s: Dict[str, float] = {}
-    solver_source_calls: Dict[str, int] = {}
-    # Per rule-set fingerprint (the oracle-cache partition key), so the
-    # mask automaton's fallback traffic is attributable per tenant.
+    # Per rule-set fingerprint (the oracle-cache partition key), so solver
+    # traffic is attributable per tenant.
     solver_by_fingerprint: Dict[str, Dict[str, float]] = {}
     for span in spans:
         if span["name"] == "record":
@@ -106,24 +101,14 @@ def aggregate(spans: Sequence[Dict]) -> Dict:
         elif name == "step":
             if owner is not None:
                 records[owner]["steps"] += 1
-        else:
-            source = str(span.get("attrs", {}).get("source", "live"))
-            solver_source_s[source] = (
-                solver_source_s.get(source, 0.0) + span["dur_s"]
+        elif owner is not None:
+            records[owner]["solver_s"] += span["dur_s"]
+            fp = str(by_id[owner].get("attrs", {}).get("fingerprint", "default"))
+            row = solver_by_fingerprint.setdefault(
+                fp, {"queries": 0, "solver_ms": 0.0}
             )
-            solver_source_calls[source] = solver_source_calls.get(source, 0) + 1
-            if owner is not None:
-                records[owner]["solver_s"] += span["dur_s"]
-                fp = str(
-                    by_id[owner].get("attrs", {}).get("fingerprint", "default")
-                )
-                row = solver_by_fingerprint.setdefault(
-                    fp, {"mask": 0, "live": 0, "solver_ms": 0.0}
-                )
-                row[source if source in ("mask", "live") else "live"] += 1
-                row["solver_ms"] = round(
-                    row["solver_ms"] + span["dur_s"] * _MS, 3
-                )
+            row["queries"] += 1
+            row["solver_ms"] = round(row["solver_ms"] + span["dur_s"] * _MS, 3)
 
     per_record = []
     for span_id in sorted(records):
@@ -160,11 +145,6 @@ def aggregate(spans: Sequence[Dict]) -> Dict:
                 for mode, seconds in sorted(lm_mode_s.items())
             },
             "lm_mode_calls": dict(sorted(lm_mode_calls.items())),
-            "solver_source_ms": {
-                source: round(seconds * _MS, 3)
-                for source, seconds in sorted(solver_source_s.items())
-            },
-            "solver_source_calls": dict(sorted(solver_source_calls.items())),
             "lm_share": round(lm_total / attributed, 4) if attributed else 0.0,
             "solver_share": (
                 round(solver_total / attributed, 4) if attributed else 0.0
@@ -348,16 +328,6 @@ def format_report(report: Dict) -> str:
                 for mode in sorted(modes)
             )
         )
-    sources = totals.get("solver_source_ms", {})
-    if sources:
-        calls = totals.get("solver_source_calls", {})
-        lines.append(
-            "solver by source (mask table vs live solver): "
-            + "  ".join(
-                f"{source}={sources[source]:.2f}ms/{calls.get(source, 0)} queries"
-                for source in sorted(sources)
-            )
-        )
     partitions = report.get("solver_by_fingerprint", {})
     if len(partitions) > 1 or any(
         fp != "default" for fp in partitions
@@ -365,11 +335,10 @@ def format_report(report: Dict) -> str:
         lines += [
             "",
             "solver queries by rule-set fingerprint (cache partition):",
-            f"{'fingerprint':<20}{'mask':>8}{'live':>8}{'solver_ms':>12}",
+            f"{'fingerprint':<20}{'queries':>8}{'solver_ms':>12}",
         ]
         for fp, row in partitions.items():
             lines.append(
-                f"{fp[:18]:<20}{row['mask']:>8}{row['live']:>8}"
-                f"{row['solver_ms']:>12.2f}"
+                f"{fp[:18]:<20}{row['queries']:>8}{row['solver_ms']:>12.2f}"
             )
     return "\n".join(lines)

@@ -5,13 +5,6 @@ by hand (:func:`paper_rules`, :func:`zoom2net_manual_rules`) or mine them
 from training data NetNomos-style (:func:`mine_rules`).
 """
 
-from .compile import (
-    CompiledMaskTable,
-    MaskLookupStats,
-    compile_rules,
-    load_mask_table,
-    save_mask_table,
-)
 from .diagnose import InfeasibilityReport, diagnose_infeasibility
 from .dsl import Rule, RuleSet, var
 from .io import (
@@ -44,9 +37,4 @@ __all__ = [
     "builtin_registry",
     "diagnose_infeasibility",
     "InfeasibilityReport",
-    "CompiledMaskTable",
-    "MaskLookupStats",
-    "compile_rules",
-    "save_mask_table",
-    "load_mask_table",
 ]

@@ -48,7 +48,6 @@ from typing import (
 )
 
 from ..errors import RetiredRuleSet, UnknownRuleSet
-from .compile import CompiledMaskTable, compile_rules
 from .dsl import RuleSet
 from .io import rules_fingerprint, rules_from_json, rules_to_json
 
@@ -111,12 +110,6 @@ class RuleSetRegistry:
         self._retired: Set[Tuple[str, int]] = set()
         self._by_hash: Dict[str, RuleSetHandle] = {}
         self._subscribers: List[Callable[[Dict[str, object]], None]] = []
-        # Compiled mask-table artifacts keyed by content fingerprint
-        # (build-on-register once enable_mask_compilation() provides the
-        # record schema; invalidated on retire; shipped to workers inside
-        # register events and snapshots).
-        self._mask_bounds: Optional[Dict[str, Tuple[int, int]]] = None
-        self._mask_tables: Dict[str, CompiledMaskTable] = {}
         self.root = Path(root) if root is not None else None
         if self.root is not None and (self.root / _MANIFEST).exists():
             self._load_dir()
@@ -161,7 +154,6 @@ class RuleSetRegistry:
             self._by_hash.setdefault(handle.content_hash, handle)
             if activate:
                 self._active[name] = version
-            table = self._build_mask_table(handle)
             self._persist(handle)
             event = {
                 "event": "register",
@@ -171,8 +163,6 @@ class RuleSetRegistry:
                 "active": bool(activate),
                 "json": rules_to_json(rules),
             }
-            if table is not None:
-                event["masks"] = table.to_json()
         self._emit(event)
         return handle
 
@@ -211,11 +201,6 @@ class RuleSetRegistry:
                     "promote a replacement first"
                 )
             self._retired.add((name, version))
-            # Invalidate the compiled artifact unless a live version of
-            # some pack still shares this content hash (identical content
-            # under several names legitimately shares one artifact).
-            if not self._hash_is_live(handle.content_hash):
-                self._mask_tables.pop(handle.content_hash, None)
             self._persist()
             event = {
                 "event": "retire",
@@ -225,77 +210,6 @@ class RuleSetRegistry:
             }
         self._emit(event)
         return handle
-
-    # -- compiled mask artifacts ----------------------------------------------
-
-    def enable_mask_compilation(
-        self, bounds: Dict[str, Tuple[int, int]]
-    ) -> int:
-        """Turn on build-on-register mask compilation for ``bounds``.
-
-        Compiles every already-registered, non-retired pack immediately
-        (so enabling after seeding still yields a fully-warmed cache) and
-        every future :meth:`register` at registration time.  Returns the
-        number of artifacts now cached.
-        """
-        with self._lock:
-            self._mask_bounds = {
-                name: (int(low), int(high))
-                for name, (low, high) in bounds.items()
-            }
-            for name in self._packs:
-                for version, handle in self._packs[name].items():
-                    if (name, version) not in self._retired:
-                        self._build_mask_table(handle)
-            return len(self._mask_tables)
-
-    def _hash_is_live(self, content_hash: str) -> bool:
-        for name, versions in self._packs.items():
-            for version, handle in versions.items():
-                if (
-                    handle.content_hash == content_hash
-                    and (name, version) not in self._retired
-                ):
-                    return True
-        return False
-
-    def _build_mask_table(
-        self, handle: RuleSetHandle
-    ) -> Optional[CompiledMaskTable]:
-        """Compile (or reuse) the artifact for ``handle``; None when off."""
-        if self._mask_bounds is None:
-            return None
-        table = self._mask_tables.get(handle.content_hash)
-        if table is None:
-            table = compile_rules(
-                handle.rules, self._mask_bounds,
-                fingerprint=handle.content_hash,
-            )
-            self._mask_tables[handle.content_hash] = table
-        return table
-
-    def mask_table_for(
-        self, ref: Union[str, RuleSetHandle]
-    ) -> Optional[CompiledMaskTable]:
-        """The cached compiled artifact for ``ref``, if one exists.
-
-        Resolves like :meth:`resolve` and answers from the fingerprint
-        cache; compiles on demand when compilation is enabled but the
-        pack predates it (e.g. a snapshot-seeded worker registry that
-        adopted no artifact).  Returns None when compilation is off and
-        no artifact was adopted.
-        """
-        handle = self.resolve(ref)
-        with self._lock:
-            table = self._mask_tables.get(handle.content_hash)
-            if table is None and self._mask_bounds is not None:
-                table = self._build_mask_table(handle)
-            return table
-
-    def adopt_mask_table(self, table: CompiledMaskTable) -> None:
-        """Cache an externally-compiled artifact (snapshot/event payload)."""
-        with self._lock:
-            self._mask_tables.setdefault(table.fingerprint, table)
 
     # -- resolution ----------------------------------------------------------
 
@@ -413,9 +327,6 @@ class RuleSetRegistry:
                         "active": self._active.get(name) == version,
                         "retired": (name, version) in self._retired,
                     }
-                    table = self._mask_tables.get(handle.content_hash)
-                    if table is not None:
-                        entry["masks"] = table.to_json()
                     entries.append(entry)
             return entries
 
@@ -431,9 +342,6 @@ class RuleSetRegistry:
                 version=int(entry["version"]),  # type: ignore[arg-type]
                 activate=bool(entry["active"]),
             )
-            masks = entry.get("masks")
-            if masks is not None:
-                registry.adopt_mask_table(CompiledMaskTable.from_json(masks))
         for entry in entries:
             if entry.get("retired"):
                 registry._retired.add(
@@ -456,11 +364,6 @@ class RuleSetRegistry:
             with self._lock:
                 known = version in self._packs.get(name, {})
             if not known:
-                masks = event.get("masks")
-                if masks is not None:
-                    # Adopt the parent-compiled artifact *before* the local
-                    # register so build-on-register reuses it byte-for-byte.
-                    self.adopt_mask_table(CompiledMaskTable.from_json(masks))
                 self.register(
                     rules_from_json(str(event["json"])),
                     name=name,

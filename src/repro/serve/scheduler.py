@@ -340,15 +340,7 @@ class ContinuousBatchingScheduler:
                 f"request named rule pack {spec.rule_set!r} but this server "
                 "has no rule-set registry configured"
             )
-        handle = self.rule_registry.resolve(spec.rule_set)
-        if self.enforcer.config.mask_table:
-            # Hand the registry's build-on-register artifact to the enforcer
-            # so lane rebinding never recompiles what the registry already
-            # holds (identical bytes either way; this just skips the work).
-            table = self.rule_registry.mask_table_for(handle)
-            if table is not None:
-                self.enforcer.adopt_mask_table(table)
-        return handle
+        return self.rule_registry.resolve(spec.rule_set)
 
     def impute(
         self,

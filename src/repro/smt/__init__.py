@@ -12,7 +12,6 @@ Layering (bottom up): :mod:`~repro.smt.sat` CDCL core ->
 bounds-propagation fast path used by the enforcer before full solver calls.
 """
 
-from .automaton import DigitMaskAutomaton, IntervalAbstraction
 from .budget import RESOURCES, BudgetMeter, SolverBudget
 from .intervals import Interval, IntervalDomain, PropagationResult, propagate
 from .lincon import LinCon, constraint_from_atom
@@ -86,6 +85,4 @@ __all__ = [
     "Ne",
     "TRUE",
     "FALSE",
-    "DigitMaskAutomaton",
-    "IntervalAbstraction",
 ]

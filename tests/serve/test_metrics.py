@@ -120,6 +120,14 @@ class TestSchedulerRegistry:
         assert metric_value(
             parsed, "repro_serve_oracle_cache_hits_total"
         ) is not None
+        # perfbench's serving workload indexes these three names directly.
+        for key in ("hits", "fallbacks"):
+            assert metric_value(
+                parsed, f"repro_mask_lookup_{key}_total"
+            ) == 0.0
+        assert metric_value(
+            parsed, "repro_mask_lookup_live_queries_total"
+        ) > 0
 
     def test_metrics_json_includes_budget_block(self, setting):
         dataset, model, rules = setting
