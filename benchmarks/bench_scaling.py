@@ -29,6 +29,7 @@ from repro.rules import (
     mine_rules,
     paper_rules,
 )
+from repro.testing import FullForwardLM
 
 from conftest import write_result
 
@@ -284,9 +285,11 @@ def run_decode_bench(windows=(5, 12, 16, 20), modes=("full", "incremental"),
             return TransformerLM(TransformerConfig(seed=11))
 
         def fresh_enforcer(mode):
+            # The full arm hides the KV cache: every step re-encodes.
+            model = fresh_model()
             return JitEnforcer(
-                fresh_model(), rules, config,
-                EnforcerConfig(seed=13, decode_mode=mode),
+                FullForwardLM(model) if mode == "full" else model,
+                rules, config, EnforcerConfig(seed=13),
                 fallback_rules=fallback,
             )
 
@@ -302,12 +305,7 @@ def run_decode_bench(windows=(5, 12, 16, 20), modes=("full", "incremental"),
             for _ in range(trials):
                 start = time.perf_counter()
                 for position in range(1, len(ids)):
-                    if cache is not None:
-                        model.next_distribution(
-                            ids[:position], cache=cache, row=0
-                        )
-                    else:
-                        model.next_distribution(ids[:position])
+                    model.next_distribution(ids[:position], cache=cache)
                 best_lm = max(best_lm, steps / (time.perf_counter() - start))
 
             # End-to-end enforced imputation through the serial driver.

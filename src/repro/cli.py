@@ -150,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     impute_cmd.add_argument("--seed", type=int, default=0)
     for name in COARSE_FIELDS:
         impute_cmd.add_argument(f"--{name}", required=True, type=int)
-    _add_decode_args(impute_cmd)
     _add_trace_args(impute_cmd)
     _add_budget_args(impute_cmd)
 
@@ -161,9 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth_cmd.add_argument("--seed", type=int, default=0)
     synth_cmd.add_argument(
         "--batch-size", type=_positive_int, default=1,
-        help="records generated per lock-step batch (1 = legacy serial path)",
+        help="records generated per lock-step batch (1 = the serial enforcer)",
     )
-    _add_decode_args(synth_cmd)
     _add_trace_args(synth_cmd)
     _add_budget_args(synth_cmd)
 
@@ -224,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of requests that must meet the latency target "
         "(default 0.99)",
     )
-    _add_decode_args(serve_cmd)
     _add_trace_args(serve_cmd)
     _add_budget_args(serve_cmd)
 
@@ -287,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--late-delay", type=float, default=6.0,
         help="mean extra delay for late generated events (--generate)",
     )
-    _add_decode_args(stream_cmd)
     _add_trace_args(stream_cmd)
     _add_budget_args(stream_cmd)
 
@@ -441,14 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_decode_args(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument(
-        "--decode-mode", choices=["incremental", "full"], default="incremental",
-        help="incremental = per-lane KV cache (default); full = re-encode "
-        "the whole prefix each step (bytes are identical either way)",
-    )
-
-
 def _add_trace_args(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument(
         "--trace-out", type=Path, default=None,
@@ -502,7 +490,6 @@ def _enforcer_config_from(args) -> EnforcerConfig:
         budget=_budget_from(args),
         max_budget_retries=args.budget_retries,
         posthoc_repair=not args.no_posthoc_repair,
-        decode_mode=getattr(args, "decode_mode", "incremental"),
     )
 
 

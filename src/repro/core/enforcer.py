@@ -21,10 +21,10 @@ The per-record logic -- including the full degradation ladder
 (``smt-confirm`` > ``interval-audit`` > ``forced-model`` >
 ``posthoc-repair`` > ``clamped``) and the budget backoff -- lives in
 :class:`repro.core.session.EnforcementSession`, a resumable state machine.
-This class is the *synchronous driver*: it builds one oracle lane, spawns
-one session per record, and feeds it distributions from the model one at a
-time.  The batched engine (:mod:`repro.core.engine`) drives many sessions
-in lock-step over the identical session code.
+This class builds lanes and sessions; its record-level API runs one
+session at a time on a one-lane :class:`~repro.core.engine.LanePool`,
+the same lock-step driver the batched engine and the serving scheduler
+run with many lanes.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from ..rules.dsl import RuleSet
 from ..rules.io import rules_fingerprint
 from ..rules.registry import RuleSetHandle
 from ..smt import BudgetMeter
+from .engine import LanePool
 from .feasible import (
     FeasibilityOracle,
     HybridOracle,
@@ -246,16 +247,12 @@ class JitEnforcer:
         # Shared by every oracle tier of every lane: the counters describe
         # the enforcer, not a tier.
         self.mask_stats = MaskLookupStats()
-        self._lane = self._build_lane()
-        self.meter = self._lane.meter
-        # One-row KV cache for the synchronous driver's single lane;
-        # models without KV-cache support (n-gram) keep their native path.
-        self._kv_cache = (
-            model.new_kv_cache(1)
-            if self.config.decode_mode == "incremental"
-            and getattr(model, "supports_kv_cache", False)
-            else None
+        # The record-level API runs on a one-lane pool with config settings.
+        self._pool = LanePool(
+            self, 1, solver_pool=self.config.solver_pool, cache_entries=0
         )
+        self._lane = self._pool.lanes[0]
+        self.meter = self._lane.meter
         self._rng_entropy = self.config.seed
         self._record_counter = 0
         self._audit_cache: Dict[Tuple, RuleSet] = {}
@@ -271,21 +268,21 @@ class JitEnforcer:
     def tokenizer(self):
         return self.model.tokenizer
 
-    # -- lane / rng factories (shared with the batched engine) ----------------
+    # -- lane / rng factories (shared with LanePool) ---------------------------
 
     def _build_lane(
         self,
-        cache: Optional[OracleCache] = None,
-        pool_reuse: Optional[int] = None,
+        cache: Optional[OracleCache],
+        pool_reuse: Optional[int],
         handle: Optional[RuleSetHandle] = None,
         meter: Optional[BudgetMeter] = None,
     ) -> Lane:
         """A fresh oracle lane: one tier set + meter, fault-wrapped.
 
-        Each lane is an isolated solver context -- the engine builds one per
-        batch slot so concurrent sessions never share solver state.  Solver
-        pooling and the shared cache default to the config's settings; the
-        engine passes overrides to switch them on for its lanes only.
+        Each lane is an isolated solver context: a :class:`LanePool` builds
+        one per slot, with its own oracle cache and solver pooling
+        (``pool_reuse=None`` takes the config's), so concurrent sessions
+        never share solver state.
 
         ``handle`` selects the primary rule pack (defaulting to the
         constructor rules); the fallback tiers stay the enforcer's own.
@@ -298,11 +295,9 @@ class JitEnforcer:
             meter = BudgetMeter(self.config.budget)
         handle = handle or self.default_handle
         all_rules = [handle.rules, *self.fallback_rules]
-        resolved_cache = cache if cache is not None else self.oracle_cache
-        resolved_pool = (
-            pool_reuse if pool_reuse is not None else self.config.solver_pool
-        )
-        kwargs = dict(cache=resolved_cache, pool_reuse=resolved_pool,
+        if pool_reuse is None:
+            pool_reuse = self.config.solver_pool
+        kwargs = dict(cache=cache, pool_reuse=pool_reuse,
                       mask_stats=self.mask_stats)
         tiers = [
             (tier_rules, wrap(oracle_cls(
@@ -321,8 +316,8 @@ class JitEnforcer:
             interval_tiers=interval_tiers,
             meter=meter,
             handle=handle,
-            cache=resolved_cache,
-            pool_reuse=resolved_pool,
+            cache=cache,
+            pool_reuse=pool_reuse,
         )
 
     def bind_lane(
@@ -439,7 +434,7 @@ class JitEnforcer:
         fixed = {name: int(value) for name, value in (context or {}).items()}
         return fixed, "", names
 
-    # -- the synchronous driver ------------------------------------------------
+    # -- sessions ---------------------------------------------------------------
 
     def open_session(
         self,
@@ -489,44 +484,14 @@ class JitEnforcer:
         rule_set: Optional[RuleSetHandle] = None,
     ) -> RecordOutcome:
         start_time = OBS.clock.now()
-        mode = "incremental" if self._kv_cache is not None else "full"
         try:
             session = self.open_session(
                 fixed, prompt_text, variables, rule_set=rule_set
             )
-            request = session.start()
-            while request is not None:
-                self.trace.lm_calls += 1
-                if OBS.active:
-                    with OBS.profile(
-                        "lm_forward", parent=session.span, rows=1, mode=mode
-                    ):
-                        distribution = self._next_distribution(request)
-                else:
-                    distribution = self._next_distribution(request)
-                request = session.step(distribution)
-            return session.result()
-        except BaseException:
-            # The cache row may hold a prefix the aborted session never
-            # unwound; the prefix-match would recover, but counting it as
-            # a hit after a fault would lie.  The lane's oracles get the
-            # same treatment: a mid-record abort may leave pooled solver
-            # frames or refold snapshots out of sync with their state keys.
-            if self._kv_cache is not None:
-                self._kv_cache.invalidate(0)
-            self._lane.reset()
-            raise
+            return self._pool.run(session)
         finally:
             self.trace.wall_time += OBS.clock.now() - start_time
             self.trace.solver_work = self.meter.snapshot()
-
-    def _next_distribution(self, prefix_ids: Sequence[int]) -> np.ndarray:
-        """One model call, routed through the serial KV-cache row if any."""
-        if self._kv_cache is not None:
-            return self.model.next_distribution(
-                prefix_ids, cache=self._kv_cache, row=0
-            )
-        return self.model.next_distribution(prefix_ids)
 
     def _auditable(self, rules: RuleSet, values: Mapping[str, int]) -> RuleSet:
         """Rules whose variables are all assigned in ``values``.

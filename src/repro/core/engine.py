@@ -1,4 +1,4 @@
-"""Lock-step batched enforcement: N records per batched model call.
+"""Lock-step enforcement: one LM call per step, over every live lane.
 
 The production argument for batching is the language model: one forward
 pass over a (B, T) batch costs far less than B sequential forwards, and an
@@ -6,6 +6,8 @@ n-gram lookup over B lanes dedupes to a handful of distinct contexts.  The
 solver side batches differently -- work is *shared* (a prefix-keyed
 :class:`~repro.core.feasible.OracleCache` across lanes) and *amortized*
 (pooled solvers reused across consecutive records of a lane).
+:class:`LanePool` is the one driver of that loop, for every caller: the
+serial enforcer and the stream executor step a one-lane pool.
 
 :class:`EnforcementEngine` holds ``batch_size`` slots, each with its own
 oracle :class:`~repro.core.session.Lane` (so a stuck or faulty record can
@@ -15,46 +17,51 @@ resident :class:`~repro.core.session.EnforcementSession`\\ s in lock-step:
 1. refill free slots from the work queue (submission order -- which also
    pins each record's private rng stream, making output independent of
    batch size);
-2. gather every session's pending prefix and make ONE
-   :func:`~repro.lm.base.batched_next_distributions` call;
-3. feed each row back to its session, which advances through sampling and
-   solver work until it needs the next distribution or finishes;
-4. harvest finished sessions (outcome or captured per-session error) and
+2. run one :meth:`LanePool.step` over every live slot;
+3. harvest finished sessions (outcome or captured per-session error) and
    loop.
 
 Determinism: a record's sampling depends only on its own rng stream and on
 oracle answers, and the cached/pooled oracles return exactly what fresh
 ones would (see feasible.py) -- so the engine emits byte-identical records
-at any batch size, including batch 1 vs the legacy synchronous path.
+at any batch size, including batch 1 vs the serial enforcer.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from ..lm.base import batched_next_distributions
 from ..obs import OBS
-from .enforcer import JitEnforcer
 from .feasible import OracleCache
-from .session import EnforcementSession, Lane, RecordOutcome
+from .session import EnforcementSession, Lane, RecordOutcome, Request
+
+if TYPE_CHECKING:  # the enforcer builds its own one-lane pool
+    from .enforcer import JitEnforcer
 
 __all__ = ["EnforcementEngine", "EngineStats", "LanePool", "RecordRequest"]
 
 
-class LanePool:
-    """A fixed pool of isolated oracle lanes sharing one oracle cache.
+# A live slot as the pool steps it: (slot index, session, pending prefix ids).
+LiveSlot = Tuple[int, EnforcementSession, List[int]]
 
-    Extracted from :class:`EnforcementEngine` so that every batched driver
-    -- the offline lock-step engine here and the continuous-batching
-    serving scheduler in :mod:`repro.serve.scheduler` -- builds its
-    concurrency substrate the same way: ``size`` independent lanes (solver
-    state never shared across concurrent sessions) over one shared
-    prefix-keyed :class:`~repro.core.feasible.OracleCache` and pooled
-    solvers.  Pass ``solver_pool=0`` or ``cache_entries=0`` to opt out of
-    pooling/caching (the legacy per-record behavior).
+
+class LanePool:
+    """Isolated oracle lanes over one oracle cache, and the lock-step driver.
+
+    Every driver -- the serial enforcer and the stream executor (one lane),
+    the offline engine and the serving scheduler (N lanes) -- runs on one:
+    ``size`` lanes (solver state never shared across concurrent sessions)
+    over one prefix-keyed :class:`~repro.core.feasible.OracleCache` and
+    pooled solvers (``solver_pool=0`` / ``cache_entries=0`` opt out), plus
+    a KV-cache row per lane when the model supports one.  :meth:`step` is
+    the only place a session gets a distribution.
     """
 
     def __init__(
@@ -66,7 +73,9 @@ class LanePool:
     ):
         if size < 1:
             raise ValueError("lane pool size must be >= 1")
-        self.enforcer = enforcer
+        # Weak: an enforcer owns a pool itself, and a strong back-reference
+        # would leave every enforcer a cycle only the cyclic collector frees.
+        self._enforcer = weakref.ref(enforcer)
         self.size = size
         if enforcer.oracle_cache is not None:
             self.cache: Optional[OracleCache] = enforcer.oracle_cache
@@ -84,16 +93,77 @@ class LanePool:
         # Per-lane KV-cache rows for incremental LM decoding: row i belongs
         # to lane i for the pool's lifetime.  Lane reuse and session rewinds
         # are handled by the cache's prefix matching (the next lookup trims
-        # to the common prefix); drivers explicitly invalidate a row when
-        # its session dies mid-record.  None when the model has no KV-cache
-        # support (n-gram) or the config says decode_mode="full".
+        # to the common prefix); retire() drops a row whose session died
+        # mid-record.  None when the model has no KV-cache support (n-gram).
         model = enforcer.model
         self.kv_cache = (
             model.new_kv_cache(size)
-            if enforcer.config.decode_mode == "incremental"
-            and getattr(model, "supports_kv_cache", False)
+            if getattr(model, "supports_kv_cache", False)
             else None
         )
+        self._mode = "incremental" if self.kv_cache is not None else "full"
+        self.lm_calls = 0  # batched model invocations (one per step)
+        self.lm_rows = 0  # total rows across those calls
+
+    # -- the lock-step driver --------------------------------------------------
+
+    def start(self, slot: int, session: EnforcementSession) -> Request:
+        """Run a session freshly opened on ``slot`` to its first LM need."""
+        pending = session.start()
+        if session.error is not None:
+            self.retire(slot)
+        return pending
+
+    def step(self, live: Sequence[LiveSlot]) -> List[Request]:
+        """ONE model call over ``live``; returns each next pending prefix.
+
+        Lane i decodes against KV-cache row i, so a session's bytes never
+        depend on which other slots are live.  A session that ends in error
+        has its slot retired, as has every live slot if the call raises.
+        """
+        prefixes = [pending for _, _, pending in live]
+        rows = [slot for slot, _, _ in live]
+        # With one lane the forward belongs to that lane's record; otherwise
+        # it serves many, so it is a root span (trace-report's shared_lm).
+        parent = live[0][1].span if self.size == 1 else None
+        enforcer = self._enforcer()
+        try:
+            with OBS.profile(
+                "lm_forward", parent=parent, rows=len(live), mode=self._mode
+            ):
+                distributions = batched_next_distributions(
+                    enforcer.model, prefixes, cache=self.kv_cache, rows=rows
+                )
+        except BaseException:
+            for slot in rows:
+                self.retire(slot)
+            raise
+        enforcer.trace.lm_calls += 1
+        self.lm_calls += 1
+        self.lm_rows += len(live)
+        out: List[Request] = []
+        for row, (slot, session, _) in zip(distributions, live):
+            out.append(session.step(row))
+            if session.error is not None:
+                self.retire(slot)
+        return out
+
+    def run(self, session: EnforcementSession, slot: int = 0) -> RecordOutcome:
+        """Drive one session to completion alone (the serial drivers)."""
+        pending = self.start(slot, session)
+        while pending is not None:
+            (pending,) = self.step([(slot, session, pending)])
+        return session.result()
+
+    def retire(self, slot: int) -> None:
+        """Quarantine ``slot`` after its session died mid-record.
+
+        Its KV row and its oracles' pooled solver frames or refold
+        snapshots may be out of sync with committed output; drop both.
+        """
+        if self.kv_cache is not None:
+            self.kv_cache.invalidate(slot)
+        self.lanes[slot].reset()
 
     def solver_work(self) -> Dict[str, int]:
         """Aggregate deterministic solver counters across every lane.
@@ -102,7 +172,7 @@ class LanePool:
         sum each time is idempotent (mirrors the synchronous enforcer's
         "overwrite with the meter snapshot" semantics).
         """
-        totals: Counter = Counter(self.enforcer.meter.snapshot())
+        totals: Counter = Counter(self._enforcer().meter.snapshot())
         for lane in self.lanes:
             totals.update(lane.meter.snapshot())
         return dict(totals)
@@ -137,8 +207,8 @@ class EngineStats:
     submitted: int = 0
     completed: int = 0
     failed: int = 0  # sessions that ended in a captured error
-    lm_calls: int = 0  # batched model invocations (one per lock-step)
-    lm_rows: int = 0  # total rows across those calls
+    lm_calls: int = 0  # the pool's batched model invocations
+    lm_rows: int = 0  # the pool's rows across those calls
     elapsed: float = 0.0  # wall-clock seconds inside run()
     solver_work: Dict[str, int] = field(default_factory=dict)
 
@@ -169,8 +239,8 @@ class EnforcementEngine:
 
     The engine builds a :class:`LanePool` from the enforcer's factory, with
     solver pooling and the shared oracle cache switched ON (they default
-    OFF in :class:`~repro.core.session.EnforcerConfig` to keep the legacy
-    single-record path byte-for-byte unchanged).  ``cache_entries=None``
+    OFF in :class:`~repro.core.session.EnforcerConfig`, which the serial
+    enforcer's own one-lane pool follows).  ``cache_entries=None``
     takes :attr:`OracleCache.DEFAULT_ENTRIES`; pass ``solver_pool=0`` or
     ``cache_entries=0`` to opt out.
 
@@ -198,7 +268,6 @@ class EnforcementEngine:
             solver_pool=solver_pool,
             cache_entries=cache_entries,
         )
-        self._lanes = self.pool.lanes
         self.stats = EngineStats()
 
     @property
@@ -260,10 +329,7 @@ class EnforcementEngine:
         submission order) is raised after the whole batch has drained.
         """
         start_time = time.perf_counter()
-        model = self.enforcer.model
-        trace = self.enforcer.trace
-        kv_cache = self.pool.kv_cache
-        mode = "incremental" if kv_cache is not None else "full"
+        pool = self.pool
         queue: Deque[Tuple[int, RecordRequest]] = deque(enumerate(requests))
         results: List[Union[RecordOutcome, BaseException, None]] = [None] * len(
             requests
@@ -271,18 +337,10 @@ class EnforcementEngine:
         slots: List[_Slot] = [None] * self.batch_size
         self.stats.submitted += len(requests)
 
-        def harvest(index: int, session: EnforcementSession, slot_index: int) -> None:
+        def harvest(index: int, session: EnforcementSession) -> None:
             if session.error is not None:
                 results[index] = session.error
                 self.stats.failed += 1
-                # The session died mid-record; its lane's cache row holds a
-                # prefix that no longer corresponds to committed output, and
-                # the lane's oracles may hold solver frames / refold
-                # snapshots out of sync with their state keys.  Evict both
-                # so the slot's next tenant starts clean.
-                if kv_cache is not None:
-                    kv_cache.invalidate(slot_index)
-                self._lanes[slot_index].reset()
             else:
                 results[index] = session.outcome
                 self.stats.completed += 1
@@ -299,68 +357,47 @@ class EnforcementEngine:
                             request.fixed,
                             request.prompt_text,
                             request.variables,
-                            lane=self._lanes[slot_index],
+                            lane=pool.lanes[slot_index],
                             rule_set=request.rule_set,
                         )
-                        pending = session.start()
+                        pending = pool.start(slot_index, session)
                         if session.done:
-                            harvest(index, session, slot_index)
+                            harvest(index, session)
                         else:
                             slots[slot_index] = (index, session, pending)
                 live = [
-                    (slot_index, slot)
+                    (slot_index, slot[1], slot[2])
                     for slot_index, slot in enumerate(slots)
                     if slot is not None
                 ]
                 if not live:
                     continue
-                # One batched model call serves every live lane this step.
-                # The span is a root (parent=None): one forward serves many
-                # records, so attributing it to any single one would lie --
-                # trace-report surfaces it as the shared_lm bucket instead.
-                # Each live lane decodes against its own KV-cache row
-                # (lane i <-> row i), so output is independent of which
-                # lanes happen to be live.
-                prefixes = [pending for _, (_, _, pending) in live]
-                lanes_live = [slot_index for slot_index, _ in live]
-                if OBS.active:
-                    with OBS.profile(
-                        "lm_forward", parent=None, rows=len(live), mode=mode
-                    ):
-                        distributions = batched_next_distributions(
-                            model, prefixes, cache=kv_cache, rows=lanes_live
-                        )
-                else:
-                    distributions = batched_next_distributions(
-                        model, prefixes, cache=kv_cache, rows=lanes_live
-                    )
-                trace.lm_calls += 1
-                self.stats.lm_calls += 1
-                self.stats.lm_rows += len(live)
-                for row, (slot_index, (index, session, _)) in zip(
-                    distributions, live
+                for pending, (slot_index, session, _) in zip(
+                    pool.step(live), live
                 ):
-                    pending = session.step(row)
+                    index = slots[slot_index][0]
                     if session.done:
-                        harvest(index, session, slot_index)
+                        harvest(index, session)
                         slots[slot_index] = None
                     else:
                         slots[slot_index] = (index, session, pending)
         finally:
             elapsed = time.perf_counter() - start_time
             self.stats.elapsed += elapsed
-            trace.wall_time += elapsed
-            self._publish_solver_work()
+            self.enforcer.trace.wall_time += elapsed
+            self._publish_pool_counters()
         if not return_exceptions:
             for entry in results:
                 if isinstance(entry, BaseException):
                     raise entry
         return results  # type: ignore[return-value]
 
-    def _publish_solver_work(self) -> None:
+    def _publish_pool_counters(self) -> None:
         merged = self.pool.solver_work()
         self.enforcer.trace.solver_work = merged
         self.stats.solver_work = merged
+        self.stats.lm_calls = self.pool.lm_calls
+        self.stats.lm_rows = self.pool.lm_rows
 
     def summary(self) -> Dict[str, object]:
         """Operator-facing snapshot: throughput + cache effectiveness."""

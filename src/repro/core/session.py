@@ -146,18 +146,10 @@ class EnforcerConfig:
     # records and concurrent sessions through an OracleCache of this many
     # entries; 0 disables caching (the legacy behavior).
     oracle_cache_entries: int = 0
-    # LM decode strategy: "incremental" reuses per-lane KV-cache rows so
-    # each step only encodes new tokens (models without KV-cache support,
-    # e.g. the n-gram backend, silently keep their native path); "full"
-    # re-encodes the whole prefix every step (the legacy behavior, and the
-    # automatic fallback when a prefix outgrows the context window).
-    decode_mode: str = "incremental"
 
     def __post_init__(self) -> None:
         if self.oracle not in ("hybrid", "smt", "interval"):
             raise ValueError(f"unknown oracle tier {self.oracle!r}")
-        if self.decode_mode not in ("incremental", "full"):
-            raise ValueError(f"unknown decode_mode {self.decode_mode!r}")
 
 
 @dataclass
@@ -279,9 +271,10 @@ class EnforcementTrace:
 class Lane:
     """One slot's worth of oracle state: tier list + interval tiers + meter.
 
-    The synchronous enforcer owns a single lane; the batched engine builds
-    one per concurrent slot so sessions never share solver state or budget
-    meters (a stuck record in one lane cannot starve its batch-mates).
+    A :class:`~repro.core.engine.LanePool` builds one per slot -- a single
+    lane for the serial enforcer, one per concurrent slot for the batched
+    drivers -- so sessions never share solver state or budget meters (a
+    stuck record in one lane cannot starve its batch-mates).
 
     A lane is also the rule-set binding point: ``handle`` names the
     resolved :class:`~repro.rules.registry.RuleSetHandle` whose rules the
@@ -307,9 +300,9 @@ class Lane:
         frames, refold snapshots, and the shared-cache ``istate``/``dom``
         entries stored under the dying record's state key), so the next
         admitted record rebuilds from the rules instead of adopting state a
-        poisoned session left behind.  Drivers pair this with evicting the
-        lane's KV-cache row -- both halves of "a crashed record leaks
-        nothing into its lane's next tenant".
+        poisoned session left behind.  ``LanePool.retire`` pairs this with
+        dropping the lane's KV-cache row -- both halves of "a crashed record
+        leaks nothing into its lane's next tenant".
         """
         for tier_list in (self.tiers, self.interval_tiers):
             for _, oracle in tier_list:
@@ -318,8 +311,7 @@ class Lane:
                     discard()
 
 
-# The driver protocol: ``start()``/``step(distribution)`` return the prefix
-# ids the session needs a distribution for, or None once the record is done.
+# What ``start()``/``step()`` return: the prefix ids awaiting a distribution.
 Request = Optional[List[int]]
 
 
@@ -332,17 +324,13 @@ class EnforcementSession:
     session may mutate.  ``rng`` is this record's private random stream --
     derived per-record so scheduling order cannot perturb sampling.
 
-    Driving protocol::
-
-        request = session.start()
-        while request is not None:
-            request = session.step(model.next_distribution(request))
-        outcome = session.result()   # RecordOutcome, or raises
-
-    A session never lets an exception escape ``start``/``step``: failures
-    are captured in ``error`` (and re-raised by ``result``), which is what
-    lets the batched engine keep a faulty record from aborting its
-    batch-mates.
+    Driving protocol (every driver runs it through
+    :meth:`~repro.core.engine.LanePool.step`): ``start()`` and then
+    ``step(distribution)`` return the prefix ids the session needs a
+    distribution for, until None; ``result()`` returns the outcome or
+    raises.  A session never lets an exception escape ``start``/``step``:
+    failures are captured in ``error`` (and re-raised by ``result``), which
+    is what keeps a faulty record from aborting its batch-mates.
     """
 
     def __init__(

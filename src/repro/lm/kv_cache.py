@@ -114,15 +114,6 @@ class KVCache:
             self.invalidations += 1
         self.lengths[row] = 0
 
-    def evict_row(self, row: int) -> None:
-        """Alias for :meth:`invalidate`: a lane retiring releases its row."""
-        self.invalidate(row)
-
-    def reset(self) -> None:
-        """Invalidate every row (e.g. after a driver crash)."""
-        for row in range(self.rows):
-            self.invalidate(row)
-
     def commit(self, rows, token_ids) -> None:
         """Record that the model appended one token's K/V at each row's end.
 

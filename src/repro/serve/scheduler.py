@@ -9,8 +9,9 @@ round-robin refill into an always-on loop over the same
 
 1. admit queued requests into free lanes *mid-flight* (a lane frees the
    moment its session finishes, and takes new work on the very next step);
-2. make ONE batched LM call over every live lane (the engine's lock-step);
-3. feed each row back, harvest finished sessions, loop.
+2. run one :meth:`~repro.core.engine.LanePool.step` over every live lane
+   (ONE batched LM call, each row fed back -- the engine's lock-step);
+3. harvest finished sessions, loop.
 
 All enforcement work runs on a single scheduler thread -- sessions,
 solvers, and the LM are never shared across threads, so the core needs no
@@ -48,7 +49,6 @@ from ..errors import (
     ServerClosed,
     UnknownRuleSet,
 )
-from ..lm.base import batched_next_distributions
 from ..obs import (
     DEFAULT_LATENCY_BUCKETS_MS,
     OBS,
@@ -249,8 +249,6 @@ class ContinuousBatchingScheduler:
         self.cancelled = 0
         self.expired = 0
         self.records_completed = 0
-        self.lm_calls = 0
-        self.lm_rows = 0
         # -- metrics registry (defaults to the process-wide one) --------------
         self.registry = registry if registry is not None else OBS.registry
         self._latency_hist = self.registry.histogram(
@@ -303,6 +301,10 @@ class ContinuousBatchingScheduler:
 
     def __exit__(self, *exc_info) -> None:
         self.stop(drain=True)
+
+    # Batched model calls and their rows, counted once, on the lane pool.
+    lm_calls = property(lambda self: self.pool.lm_calls)
+    lm_rows = property(lambda self: self.pool.lm_rows)
 
     @property
     def running(self) -> bool:
@@ -398,7 +400,7 @@ class ContinuousBatchingScheduler:
                 self._apply_rule_events()
                 self._admit()
                 live = [
-                    (slot_index, slot)
+                    (slot_index, slot[1], slot[2])
                     for slot_index, slot in enumerate(self._slots)
                     if slot is not None
                 ]
@@ -409,49 +411,22 @@ class ContinuousBatchingScheduler:
                         return
                     self.queue.wait_for_work(self._idle_wait)
                     continue
-                # Root span (parent=None): one forward serves many requests,
-                # so trace-report books it under the shared_lm bucket.
-                # Lane i decodes against KV-cache row i, so admission order
-                # and batch-mates never change a request's bytes.
-                kv_cache = self.pool.kv_cache
-                mode = "incremental" if kv_cache is not None else "full"
-                prefixes = [pending for _, (_, _, pending) in live]
-                lanes_live = [slot_index for slot_index, _ in live]
-                if OBS.active:
-                    with OBS.profile(
-                        "lm_forward", parent=None, rows=len(live), mode=mode
-                    ):
-                        rows = batched_next_distributions(
-                            self.enforcer.model,
-                            prefixes,
-                            cache=kv_cache,
-                            rows=lanes_live,
-                        )
-                else:
-                    rows = batched_next_distributions(
-                        self.enforcer.model,
-                        prefixes,
-                        cache=kv_cache,
-                        rows=lanes_live,
-                    )
-                self.enforcer.trace.lm_calls += 1
-                self.lm_calls += 1
-                self.lm_rows += len(live)
-                for row, (slot_index, (unit, session, _)) in zip(rows, live):
-                    pending = session.step(row)
+                for pending, (slot_index, session, _) in zip(
+                    self.pool.step(live), live
+                ):
+                    unit = self._slots[slot_index][0]
                     if session.done:
-                        self._harvest(unit, session, slot_index)
+                        self._harvest(unit, session)
                         self._slots[slot_index] = None
                     else:
                         self._slots[slot_index] = (unit, session, pending)
-        except BaseException as exc:  # pragma: no cover -- crash backstop
+        except BaseException as exc:  # crash backstop
             logger.exception("scheduler loop died: %s", exc)
             for slot_index, slot in enumerate(self._slots):
                 if slot is not None:
                     slot[0].request.fail(exc)
                     self._slots[slot_index] = None
-            if self.pool.kv_cache is not None:
-                self.pool.kv_cache.reset()
+                    self.pool.retire(slot_index)
             self.queue.close(drain=False)
             raise
         finally:
@@ -508,7 +483,7 @@ class ContinuousBatchingScheduler:
                 rule_set=unit.request.rule_handle,
                 trace=trace,
             )
-            pending = session.start()
+            pending = self.pool.start(slot_index, session)
             if session.done:
                 # Finished inside start() (e.g. degraded without sampling):
                 # the lane is free again for the next queued unit.
@@ -569,26 +544,13 @@ class ContinuousBatchingScheduler:
             return self.enforcer.impute_plan(spec.coarse, spec.context)
         return self.enforcer.synthesize_plan(spec.context)
 
-    def _harvest(
-        self,
-        unit: _Unit,
-        session: EnforcementSession,
-        slot_index: Optional[int] = None,
-    ) -> None:
+    def _harvest(self, unit: _Unit, session: EnforcementSession) -> None:
+        # A dead session's lane was already retired by the pool.
         request = unit.request
         tenant_row = self._tenant_stats.setdefault(
             request.tenant, {"completed": 0, "failed": 0, "records": 0}
         )
         if session.error is not None:
-            # A session that died mid-record (deadline, cancellation, fault)
-            # leaves its lane's KV-cache row mid-prefix and possibly its
-            # oracles mid-update; retire the row and quarantine-reset the
-            # lane so the next tenant starts clean.  slot_index is None only
-            # when the session finished inside start(), before any decode.
-            if slot_index is not None:
-                if self.pool.kv_cache is not None:
-                    self.pool.kv_cache.evict_row(slot_index)
-                self.pool.lanes[slot_index].reset()
             if request.fail(session.error):
                 if isinstance(session.error, DeadlineExceeded):
                     self.expired += 1

@@ -34,9 +34,7 @@ def _build_enforcer(dataset, model, rules, seed: int) -> JitEnforcer:
         model,
         rules,
         dataset.config,
-        EnforcerConfig(
-            seed=seed, decode_mode="incremental", oracle_cache_entries=4096
-        ),
+        EnforcerConfig(seed=seed, oracle_cache_entries=4096),
         fallback_rules=[domain_bound_rules(dataset.config)],
         bounds=stream_bounds(dataset.config),
     )

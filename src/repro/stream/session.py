@@ -62,6 +62,7 @@ from typing import (
     Tuple,
 )
 
+from ..core.engine import LanePool
 from ..core.enforcer import JitEnforcer, record_rng
 from ..data.telemetry import COARSE_FIELDS, TelemetryConfig, window_variables
 from ..obs import OBS, STREAM_LAG_BUCKETS_MS, Sample
@@ -530,14 +531,14 @@ class StreamSession:
 
 
 class EnforcerExecutor:
-    """Serial per-stream executor over a dedicated enforcer lane.
+    """Serial per-stream executor over a dedicated one-lane pool.
 
-    This is the ``repro.cli stream`` transport: it owns one oracle lane
-    (so a multi-source process gives each stream isolated solver state)
-    and, for KV-capable models, one private cache row.  Rewind is the
-    cache's longest-common-prefix trim: each record's prompt diverges
-    from the previous record's near the start, so the row never grows
-    past one record's token horizon no matter how long the stream runs.
+    This is the ``repro.cli stream`` transport: it owns a lane (so a
+    multi-source process gives each stream isolated solver state) and,
+    for KV-capable models, that lane's cache row.  Rewind is the cache's
+    longest-common-prefix trim: each record's prompt diverges from the
+    previous record's near the start, so the row never grows past one
+    record's token horizon no matter how long the stream runs.
 
     Every ``window`` emitted records the session calls
     :meth:`roll_window`, which evicts this enforcer's oracle-cache
@@ -548,14 +549,8 @@ class EnforcerExecutor:
     def __init__(self, enforcer: JitEnforcer, seed: Optional[int] = None):
         self.enforcer = enforcer
         self.seed = seed if seed is not None else enforcer.config.seed
-        self._lane = enforcer._build_lane()
-        model = enforcer.model
-        self._kv = (
-            model.new_kv_cache(1)
-            if enforcer.config.decode_mode == "incremental"
-            and getattr(model, "supports_kv_cache", False)
-            else None
-        )
+        self._pool = LanePool(enforcer, 1, cache_entries=0,
+                              solver_pool=enforcer.config.solver_pool)
         self.records = 0
         self.cache_evictions = 0
 
@@ -565,27 +560,12 @@ class EnforcerExecutor:
         coarse: Mapping[str, int],
         context: Dict[str, int],
     ) -> Tuple[Mapping[str, int], Mapping[str, object]]:
-        enforcer = self.enforcer
-        fixed, prompt, variables = enforcer.impute_plan(coarse, context)
-        session = enforcer.open_session(
-            fixed,
-            prompt,
-            variables,
-            lane=self._lane,
+        session = self.enforcer.open_session(
+            *self.enforcer.impute_plan(coarse, context),
+            lane=self._pool.lanes[0],
             rng=record_rng(self.seed, seq),
         )
-        try:
-            request = session.start()
-            while request is not None:
-                request = session.step(self._next_distribution(request))
-            outcome = session.result()
-        except BaseException:
-            # Mirror the enforcer's serial driver: a mid-record abort
-            # leaves the KV row and the lane's oracles in unknown state.
-            if self._kv is not None:
-                self._kv.invalidate(0)
-            self._lane.reset()
-            raise
+        outcome = self._pool.run(session)
         self.records += 1
         return outcome.values, {
             "stage": outcome.stage,
@@ -593,13 +573,6 @@ class EnforcerExecutor:
             "degraded": outcome.degraded,
             "tier_index": outcome.tier_index,
         }
-
-    def _next_distribution(self, prefix_ids):
-        if self._kv is not None:
-            return self.enforcer.model.next_distribution(
-                prefix_ids, cache=self._kv, row=0
-            )
-        return self.enforcer.model.next_distribution(prefix_ids)
 
     def roll_window(self) -> None:
         """Per-window state eviction: oracle memo partitions of this lane."""
@@ -612,8 +585,9 @@ class EnforcerExecutor:
             )
 
     def kv_stats(self) -> Optional[Dict[str, float]]:
-        if self._kv is None:
+        kv = self._pool.kv_cache
+        if kv is None:
             return None
-        stats = self._kv.stats()
-        stats["row_length"] = self._kv.length(0)
+        stats = kv.stats()
+        stats["row_length"] = kv.length(0)
         return stats

@@ -11,6 +11,7 @@ from .faults import (
     FaultyLM,
     FaultyOracle,
     FlakyStreamSource,
+    FullForwardLM,
     StallingOracle,
     kill_worker,
     resume_worker,
@@ -25,6 +26,7 @@ __all__ = [
     "FaultyLM",
     "FaultyOracle",
     "CrashingLM",
+    "FullForwardLM",
     "StallingOracle",
     "FlakyStreamSource",
     "wait_for_sentinel_pid",

@@ -19,6 +19,9 @@ exercise that claim:
 * :class:`CrashingLM` and :class:`StallingOracle` fire on *deterministic
   call-index schedules* instead of rates -- the same call always faults,
   which is what replay-parity chaos tests need;
+* :class:`FullForwardLM` hides a model's KV-cache support, so every driver
+  re-encodes the whole prefix each step -- the parity oracle incremental
+  decoding is checked against;
 * the process-level helpers (:func:`kill_worker`, :func:`stall_worker`,
   :func:`resume_worker`) inject worker-pool faults -- crash, scheduler
   stall, slow start -- for the supervisor chaos harness
@@ -58,6 +61,7 @@ __all__ = [
     "FaultyLM",
     "FaultyOracle",
     "CrashingLM",
+    "FullForwardLM",
     "StallingOracle",
     "FlakyStreamSource",
     "wait_for_sentinel_pid",
@@ -218,6 +222,21 @@ class CrashingLM:
                 "scheduled LM crash", site="next_distribution", call_index=index
             )
         return self._model.next_distribution(prefix_ids, **kwargs)
+
+
+class FullForwardLM:
+    """A view of ``model`` that hides ``supports_kv_cache``/``new_kv_cache``,
+    so drivers build no KV cache and every step runs the full forward over
+    the whole prefix; all else delegates, so records must come out
+    byte-identical to incremental decoding at the same seed."""
+
+    def __init__(self, model: LanguageModel):
+        self._model = model
+
+    def __getattr__(self, name: str):
+        if name in ("supports_kv_cache", "new_kv_cache"):
+            raise AttributeError(name)
+        return getattr(self._model, name)
 
 
 class StallingOracle(FeasibilityOracle):

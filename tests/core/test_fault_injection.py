@@ -17,10 +17,11 @@ from repro.core import (
     EnforcerConfig,
     JitEnforcer,
     LADDER_STAGES,
+    Lane,
 )
 from repro.data import build_dataset
 from repro.errors import DeadEnd, InjectedFault
-from repro.lm import NgramLM
+from repro.lm import NgramLM, TransformerConfig, TransformerLM
 from repro.lm.sampler import sample_tokens
 from repro.rules import domain_bound_rules, paper_rules
 from repro.smt import SolverBudget
@@ -534,3 +535,68 @@ class TestPoisonedLaneQuarantine:
             )
         reference = build(seed=77).impute_record(clean_window.coarse())
         assert follow_up.records == [dict(reference.values)]
+
+
+class TestLmCrashRetiresLiveLanes:
+    """A model call that raises retires every live lane -- the quarantine a
+    dying session gets -- in every driver: lanes reset, KV rows dropped."""
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_lm_crash_resets_live_lanes_and_rows(self, setting, monkeypatch):
+        from repro.serve import ContinuousBatchingScheduler, RequestSpec
+
+        dataset, ngram, rules = setting
+        reset_lanes = []
+        original_reset = Lane.reset
+        monkeypatch.setattr(
+            Lane, "reset",
+            lambda lane: (reset_lanes.append(id(lane)), original_reset(lane)),
+        )
+
+        def enforcer(model):
+            return JitEnforcer(model, rules, dataset.config,
+                               EnforcerConfig(seed=4),
+                               fallback_rules=[domain_bound_rules(dataset.config)])
+
+        def crashing_tinygpt():  # KV-cached decode; the 8th row raises
+            lm = TransformerLM(TransformerConfig(seed=11))
+            crashing = CrashingLM(lm, crash_at={7})
+            lm.next_distributions = lambda prefixes, cache, rows: np.stack([
+                crashing.next_distribution(prefix, cache=cache, row=row)
+                for prefix, row in zip(prefixes, rows)
+            ])
+            return lm
+
+        coarse = [w.coarse() for w in dataset.test_windows()[:4]]
+        serial = enforcer(CrashingLM(ngram, crash_at={7}))
+        with pytest.raises(InjectedFault):
+            serial.impute_record(coarse[0])
+        assert reset_lanes == [id(serial._lane)]
+        reset_lanes.clear()  # a session that dies inside start() is retired too
+        plan = serial.impute_plan(coarse[0])
+        session = serial.open_session(*plan, checkpoint=lambda: 1 / 0)
+        assert serial._pool.start(0, session) is None and session.error
+        assert reset_lanes == [id(serial._lane)]
+
+        for model, run in (
+            (CrashingLM(ngram, crash_at={7}), lambda e: e.impute_many(coarse)),
+            (crashing_tinygpt(), lambda e: e.synthesize_many(4)),
+        ):
+            reset_lanes.clear()
+            engine = EnforcementEngine(enforcer(model), batch_size=4)
+            with pytest.raises(InjectedFault):
+                run(engine)
+            assert sorted(reset_lanes) == sorted(map(id, engine.pool.lanes))
+        assert [engine.pool.kv_cache.length(row) for row in range(4)] == [0] * 4
+
+        reset_lanes.clear()
+        scheduler = ContinuousBatchingScheduler(
+            enforcer(crashing_tinygpt()), lanes=4
+        ).start()
+        request = scheduler.submit(RequestSpec("synthesize", count=4, seed=4))
+        with pytest.raises(InjectedFault):
+            request.result(timeout=60)
+        scheduler.stop(drain=False, timeout=60)  # the backstop has run
+        assert not scheduler.running
+        assert set(reset_lanes) == set(map(id, scheduler.pool.lanes))
+        assert [scheduler.pool.kv_cache.length(r) for r in range(4)] == [0] * 4

@@ -19,6 +19,7 @@ from repro.lm import NgramLM
 from repro.obs import OBS, ManualClock, SpanTracer
 from repro.rules import domain_bound_rules, paper_rules
 from repro.smt import SolverBudget
+from repro.stream import EnforcerExecutor
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,15 @@ class TestPerRecordIsolation:
         assert all(o.lm_steps > 0 for o in outcomes)
         assert all(o.wall_time > 0 for o in outcomes)
         assert sum(o.wall_time for o in outcomes) <= enforcer.trace.wall_time
+
+        # The stream executor is the other one-lane driver: same accounting.
+        streamed = _enforcer(dataset, model, rules)
+        executor = EnforcerExecutor(streamed, seed=13)
+        steps = []
+        for seq, window in enumerate(coarse):
+            executor(seq, window, {})
+            steps.append(streamed.last_outcome.lm_steps)
+        assert sum(steps) == streamed.trace.lm_calls and min(steps) > 0
 
     def test_reused_lane_does_not_accumulate_into_later_records(self, setting):
         """The regression: outcome N must not include records 0..N-1."""
@@ -153,19 +163,25 @@ class TestTracingIsInvisible:
 
     def test_batched_engine_emits_shared_lm_roots(self, setting):
         dataset, model, rules = setting
-        tracer = OBS.enable(SpanTracer(ring_size=65536))
-        enforcer = _enforcer(dataset, model, rules)
-        engine = EnforcementEngine(enforcer, batch_size=4)
-        engine.impute_many([w.coarse() for w in dataset.test_windows()[:4]])
-        OBS.disable()
+        for batch_size in (4, 1):
+            tracer = OBS.enable(SpanTracer(ring_size=65536))
+            enforcer = _enforcer(dataset, model, rules)
+            engine = EnforcementEngine(enforcer, batch_size=batch_size)
+            engine.impute_many([w.coarse() for w in dataset.test_windows()[:4]])
+            OBS.disable()
 
-        spans = tracer.drain()
-        forwards = [s for s in spans if s["name"] == "lm_forward"]
-        assert forwards
-        assert all(s["parent"] is None for s in forwards)
-        assert all(s["attrs"]["rows"] >= 1 for s in forwards)
-        records = [s for s in spans if s["name"] == "record"]
-        assert len(records) == 4
+            spans = tracer.drain()
+            forwards = [s for s in spans if s["name"] == "lm_forward"]
+            assert forwards
+            assert all(s["attrs"]["rows"] >= 1 for s in forwards)
+            records = [s for s in spans if s["name"] == "record"]
+            assert len(records) == 4
+            parents = collections.Counter(s["parent"] for s in forwards)
+            if batch_size > 1:
+                assert set(parents) == {None}
+            else:  # a one-lane pool's forward belongs to its record
+                steps = {r["span"]: r["attrs"]["lm_steps"] for r in records}
+                assert parents == steps
 
     def test_wall_time_uses_the_injected_clock(self, setting):
         dataset, model, rules = setting

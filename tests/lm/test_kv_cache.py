@@ -14,8 +14,9 @@ Layered guarantees, weakest to strongest:
   rests on BLAS computing the rows of an M >= 2 sgemm independently of M,
   which a guard test checks directly);
 * end-to-end, the enforced record bytes at a fixed seed are identical
-  between ``decode_mode="full"`` and ``decode_mode="incremental"`` through
-  the serial enforcer, the batched engine, and the serving scheduler.
+  between full re-encode (a :class:`~repro.testing.FullForwardLM` view)
+  and incremental decoding through the serial enforcer, the batched
+  engine, and the serving scheduler.
 """
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.stream import (
     mine_stream_rules,
     stream_bounds,
 )
+from repro.testing import FullForwardLM
 
 
 @pytest.fixture(scope="module")
@@ -105,11 +107,12 @@ def _solo_logits(model, prefix):
 
 
 def _enforcer(dataset, rules, mode, seed=13, strict=False):
+    model = TransformerLM(TransformerConfig(seed=11))
     return JitEnforcer(
-        TransformerLM(TransformerConfig(seed=11)),
+        FullForwardLM(model) if mode == "full" else model,
         rules,
         dataset.config,
-        EnforcerConfig(seed=seed, decode_mode=mode),
+        EnforcerConfig(seed=seed),
         fallback_rules=(
             () if strict else [domain_bound_rules(dataset.config)]
         ),
@@ -373,19 +376,16 @@ class TestCacheBookkeeping:
         assert cache.match(1, np.array([1, 2])) == 0
         cache.trim(0, 2)
         assert cache.length(0) == 2
-        cache.evict_row(0)
+        cache.invalidate(0)
         assert cache.length(0) == 0
         stats = cache.stats()
+        assert stats["invalidations"] == 2  # the discarding trim + the drop
         for key in (
             "rows", "hits", "misses", "invalidations", "fallbacks",
             "tokens_reused", "tokens_computed", "hit_rate",
             "token_reuse_rate",
         ):
             assert key in stats
-
-    def test_decode_mode_config_is_validated(self):
-        with pytest.raises(ValueError):
-            EnforcerConfig(decode_mode="turbo")
 
     def test_ngram_memo_reports_uniform_cache_stats(self):
         dataset = build_dataset(
@@ -412,14 +412,14 @@ class TestEndToEndParity:
         prompts = [w.coarse() for w in dataset.test_windows()[:4]]
         full = _enforcer(dataset, rules, "full")
         incremental = _enforcer(dataset, rules, "incremental")
-        assert incremental._kv_cache is not None
-        assert full._kv_cache is None
+        assert incremental._pool.kv_cache is not None
+        assert full._pool.kv_cache is None
         for prompt in prompts:
             assert (
                 incremental.impute_record(prompt).values
                 == full.impute_record(prompt).values
             )
-        stats = incremental._kv_cache.stats()
+        stats = incremental._pool.kv_cache.stats()
         assert stats["hits"] > 0 and stats["token_reuse_rate"] > 0.5
 
     def test_batched_engine_mode_parity(self, setting):
@@ -494,8 +494,8 @@ class TestEndToEndParity:
         enforcer = _enforcer(dataset, rules, "incremental", strict=True)
         with pytest.raises(InfeasibleRecord):
             enforcer.impute_record(poisoned)
-        assert enforcer._kv_cache.stats()["invalidations"] >= 1
-        assert enforcer._kv_cache.length(0) == 0
+        assert enforcer._pool.kv_cache.stats()["invalidations"] >= 1
+        assert enforcer._pool.kv_cache.length(0) == 0
 
         prompts = [w.coarse() for w in dataset.test_windows()[:3]]
         jobs = prompts[:1] + [poisoned] + prompts[1:]
@@ -565,10 +565,7 @@ class TestStreamKvRewind:
     def _make_executor(self, dataset, rules, model):
         enforcer = JitEnforcer(
             model, rules, dataset.config,
-            EnforcerConfig(
-                seed=13, decode_mode="incremental",
-                oracle_cache_entries=4096,
-            ),
+            EnforcerConfig(seed=13, oracle_cache_entries=4096),
             fallback_rules=[domain_bound_rules(dataset.config)],
             bounds=stream_bounds(dataset.config),
         )
