@@ -16,7 +16,6 @@ Subcommands mirror the library's main entry points::
     python -m repro.cli rules    list --dir packs/
     python -m repro.cli bench-serving --out BENCH_serving.json
     python -m repro.cli chaos    --workers 4 --requests 24
-    python -m repro.cli trace-report --trace trace.jsonl
     python -m repro.cli obs-report --trace trace.jsonl
 
 The model format is the n-gram JSON checkpoint (fast to train anywhere);
@@ -24,7 +23,7 @@ datasets are one JSON record per line.  Diagnostics go to stderr as
 single-line ``key=value`` records -- every one of them rendered by
 :func:`repro.obs.kv.format_kv` so scrapers face exactly one quoting
 convention; stdout stays pure JSON for scripting.  ``--trace-out`` on
-``impute``/``synth`` writes a JSONL span trace that ``trace-report``
+``impute``/``synth`` writes a JSONL span trace that ``obs-report``
 aggregates into the per-stage solver-vs-LM breakdown.
 """
 
@@ -401,26 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the JSON chaos report here",
     )
 
-    trace_cmd = sub.add_parser(
-        "trace-report",
-        help="aggregate a JSONL span trace into the solver-vs-LM breakdown",
-    )
-    trace_cmd.add_argument("--trace", required=True, type=Path)
-    trace_cmd.add_argument(
-        "--json", action="store_true",
-        help="emit the aggregate as JSON instead of tables",
-    )
-
     obs_cmd = sub.add_parser(
         "obs-report",
-        help="merge a multi-process trace (router + worker sinks) and "
-        "report the solver-vs-LM breakdown split by worker, tenant, and "
-        "stream, plus per-request critical paths",
+        help="aggregate a span trace (one process, or a router plus its "
+        "worker sinks) into the solver-vs-LM breakdown split by worker, "
+        "tenant, and stream, plus per-request critical paths",
     )
     obs_cmd.add_argument(
         "--trace", required=True, type=Path,
-        help="the parent/router trace JSONL (`serve --trace-out`); worker "
-        "sinks named <trace>.w<id>.g<gen> are discovered automatically",
+        help="the trace JSONL (any `--trace-out`); worker sinks named "
+        "<trace>.w<id>.g<gen> are discovered automatically",
     )
     obs_cmd.add_argument(
         "--worker-glob", type=str, default=None,
@@ -440,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_trace_args(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument(
         "--trace-out", type=Path, default=None,
-        help="write a JSONL span trace of the run (see trace-report)",
+        help="write a JSONL span trace of the run (see obs-report)",
     )
 
 
@@ -1106,25 +1095,6 @@ def _cmd_chaos(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _cmd_trace_report(args) -> int:
-    from .obs.report import aggregate
-    from .obs.report import format_report as format_trace_report
-    from .obs.trace import load_trace
-
-    try:
-        spans = load_trace(args.trace)
-    except OSError as exc:
-        raise SystemExit(f"cannot read trace: {exc}")
-    except ValueError as exc:
-        raise SystemExit(f"malformed trace: {exc}")
-    report = aggregate(spans)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(format_trace_report(report))
-    return 0
-
-
 def _cmd_obs_report(args) -> int:
     import glob as _glob
 
@@ -1189,7 +1159,6 @@ _COMMANDS = {
     "rules": _cmd_rules,
     "bench-serving": _cmd_bench_serving,
     "chaos": _cmd_chaos,
-    "trace-report": _cmd_trace_report,
     "obs-report": _cmd_obs_report,
 }
 

@@ -30,11 +30,6 @@ from .pipeline import (
     audit_violation_rate,
     degradation_report,
 )
-from .sequence import (
-    SequenceEnforcer,
-    cross_window_assignments,
-    mine_cross_window_rules,
-)
 from .transition import SEPARATOR, DigitTransitionSystem, FeasibleSet
 
 __all__ = [
@@ -60,9 +55,6 @@ __all__ = [
     "GenerationError",
     "audit_violation_rate",
     "degradation_report",
-    "SequenceEnforcer",
-    "mine_cross_window_rules",
-    "cross_window_assignments",
     "DigitTransitionSystem",
     "FeasibleSet",
     "SEPARATOR",

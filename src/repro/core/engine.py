@@ -124,7 +124,7 @@ class LanePool:
         prefixes = [pending for _, _, pending in live]
         rows = [slot for slot, _, _ in live]
         # With one lane the forward belongs to that lane's record; otherwise
-        # it serves many, so it is a root span (trace-report's shared_lm).
+        # it serves many, so it is a root span (obs-report's shared_lm).
         parent = live[0][1].span if self.size == 1 else None
         enforcer = self._enforcer()
         try:

@@ -71,8 +71,8 @@ def aggregate(spans: Sequence[Dict]) -> Dict:
 
     records: Dict[int, Dict[str, float]] = {}
     shared_lm_s = 0.0
-    # LM time split by decode mode (the lm_forward span's "mode" attr:
-    # "incremental" = KV-cached, "full" = whole-prefix re-encode).  Spans
+    # LM time split by the lm_forward span's "mode" attr: "incremental" =
+    # KV-cached model, "full" = a model without a KV cache (n-gram).  Spans
     # from traces predating the attribute count as "full".
     lm_mode_s: Dict[str, float] = {}
     lm_mode_calls: Dict[str, int] = {}
@@ -288,7 +288,7 @@ def format_distributed_report(report: Dict) -> str:
 
 
 def format_report(report: Dict) -> str:
-    """Human-readable tables (the ``repro.cli trace-report`` output)."""
+    """Human-readable per-stage tables (the head of ``obs-report``)."""
     lines = [
         f"trace: {report['spans']} spans, {report['records']} records",
         "",

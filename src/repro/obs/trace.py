@@ -12,7 +12,7 @@ Timing comes from an injectable :class:`~repro.obs.clock.Clock`, so tests
 assert exact durations.  Finished spans land in a bounded in-memory ring
 buffer (newest wins) and, when a sink is attached, as one JSON object per
 line (JSONL).  The span schema is versioned and machine-checkable via
-:func:`validate_span`; ``repro.cli trace-report`` and the CI observability
+:func:`validate_span`; ``repro.cli obs-report`` and the CI observability
 smoke both validate every line against it.
 """
 
@@ -166,7 +166,7 @@ def validate_span(span: object) -> Dict:
     """Check one decoded span object against the schema; returns it.
 
     Raises ``ValueError`` with a field-specific message on any violation.
-    Used by ``trace-report`` (every line is validated before aggregation)
+    Used by ``obs-report`` (every line is validated before aggregation)
     and by the CI observability smoke.
     """
     if not isinstance(span, dict):

@@ -1,16 +1,15 @@
 """Sliding-window rule binding: cross-record rules over the last W records.
 
-The sequence module (:mod:`repro.core.sequence`) enforces depth-1 temporal
-rules by threading one ``prev_*`` context record through the enforcer.
-Streaming generalizes that to a *window*: record ``i`` is generated under
-rules that may reference any of the previous ``W - 1`` emitted records,
-named by history offset --
+This is the one temporal path (the paper's Section 5 agenda): record ``i``
+is generated under rules that may reference any of the previous ``W - 1``
+emitted records, named by history offset --
 
-* offset 1: ``prev_total``, ``prev_I0``, ... (the sequence module's names,
-  so every depth-1 rule ever mined keeps working unchanged);
+* offset 1: ``prev_total``, ``prev_I0``, ... (so every depth-1 rule ever
+  mined keeps working unchanged);
 * offset k >= 2: ``prev2_total``, ``prev3_I4``, ...
 
-Three pieces live here:
+The LM stays record-local (never conditioned on earlier records' text):
+the temporal knowledge enters purely through logic.  Three pieces live here:
 
 * :func:`mine_stream_rules` joins each rack's window sequence at depth W
   and mines the relational (monotone/ratio) shapes across the boundary,
@@ -23,17 +22,21 @@ Three pieces live here:
   bound values of record ``i``'s tail constrain record ``i+1``'s head
   through whatever mined boundary rules mention both.
 
+A window sequence is a depth-2 stream: impute it by feeding in-order
+events to a :class:`~repro.stream.session.StreamSession` over an
+:class:`~repro.stream.session.EnforcerExecutor`; synthesize it by calling
+the executor with ``coarse=None`` on :meth:`WindowBinder.context_for` of
+the records so far.
+
 Rules referencing a history offset that is not available (stream start, or
 a gap skipped by the watermark) are simply not bound: the enforcer treats
-unbound history variables as free within their bounds, exactly as the
-sequence enforcer does for the first window.
+unbound history variables as free within their bounds.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.sequence import PREV_PREFIX, prev_name
 from ..data.dataset import variable_bounds
 from ..data.telemetry import TelemetryConfig, Window, window_variables
 from ..rules.dsl import Rule, RuleSet
@@ -56,13 +59,16 @@ __all__ = [
 #: server having to rebuild its enforcer.
 MAX_HISTORY_DEPTH = 8
 
+#: The prefix of offset-1 history names (``prev_total``).
+PREV_PREFIX = "prev_"
+
 
 def history_name(name: str, offset: int) -> str:
     """The variable name of ``name`` as seen ``offset`` records back."""
     if offset < 1:
         raise ValueError(f"history offset must be >= 1, got {offset}")
     if offset == 1:
-        return prev_name(name)
+        return PREV_PREFIX + name
     return f"prev{offset}_{name}"
 
 

@@ -1,21 +1,15 @@
-"""Temporal (cross-window) enforcement tests -- the Section 5 extension."""
+"""Cross-window (temporal) rule mining tests -- the Section 5 extension.
+
+Temporal rules bind adjacent records of a rack: they are mined over
+depth-2 joined assignments (``prev_*`` names for the earlier window) and
+enforced on the stream path (``repro.stream``).
+"""
 
 import pytest
 
-from repro.core import (
-    EnforcerConfig,
-    SequenceEnforcer,
-    cross_window_assignments,
-    mine_cross_window_rules,
-)
-from repro.data import build_dataset, fine_field, window_variables
-from repro.lm import NgramLM
-from repro.rules import (
-    MinerOptions,
-    domain_bound_rules,
-    mine_rules,
-    zoom2net_manual_rules,
-)
+from repro.data import build_dataset
+from repro.rules import MinerOptions
+from repro.stream import joined_window_assignments, mine_stream_rules
 
 
 @pytest.fixture(scope="module")
@@ -23,37 +17,30 @@ def setting():
     dataset = build_dataset(
         num_train_racks=6, num_test_racks=2, windows_per_rack=80, seed=3
     )
-    model = NgramLM(order=6).fit(dataset.train_texts())
     racks = [rack.windows for rack in dataset.train_racks]
-    temporal = mine_cross_window_rules(
+    temporal = mine_stream_rules(
         racks,
         dataset.config,
-        MinerOptions(
+        options=MinerOptions(
             identities=False, burst_implications=False, ratios=False, slack=3
         ),
     )
-    assignments = [w.variables() for w in dataset.train_windows()]
-    per_record = mine_rules(
-        assignments,
-        list(window_variables(dataset.config.window)),
-        MinerOptions(slack=2),
-        fine_variables=[fine_field(t) for t in range(dataset.config.window)],
-    )
-    return dataset, model, per_record, temporal
+    return dataset, temporal
 
 
 class TestCrossWindowMining:
     def test_assignments_join_consecutive_windows(self, setting):
-        dataset, *_ = setting
+        dataset, _ = setting
         windows = dataset.train_racks[0].windows[:3]
-        joined = cross_window_assignments(windows)
+        joined = joined_window_assignments(windows, depth=2)
         assert len(joined) == 2
         assert joined[0]["prev_total"] == windows[0].total
         assert joined[0]["total"] == windows[1].total
         assert joined[1]["prev_total"] == windows[1].total
 
     def test_only_temporal_rules_survive(self, setting):
-        _, _, _, temporal = setting
+        _, temporal = setting
+        assert len(temporal) > 0
         for rule in temporal:
             names = rule.variables()
             assert any(n.startswith("prev_") for n in names), rule.name
@@ -61,141 +48,12 @@ class TestCrossWindowMining:
             assert rule.kind.startswith("temporal-")
 
     def test_temporal_rules_hold_on_training_pairs(self, setting):
-        dataset, _, _, temporal = setting
+        dataset, temporal = setting
         for rack in dataset.train_racks:
-            for joined in cross_window_assignments(rack.windows):
+            for joined in joined_window_assignments(rack.windows, depth=2):
                 assert temporal.compliant(joined)
 
     def test_empty_racks_rejected(self, setting):
-        dataset, *_ = setting
+        dataset, _ = setting
         with pytest.raises(ValueError):
-            mine_cross_window_rules([[]], dataset.config)
-
-
-class TestSequenceEnforcer:
-    def test_imputed_sequence_fully_compliant(self, setting):
-        dataset, model, per_record, temporal = setting
-        enforcer = SequenceEnforcer(
-            model, per_record, temporal, dataset.config,
-            EnforcerConfig(seed=0),
-            fallback_rules=[zoom2net_manual_rules(dataset.config),
-                            domain_bound_rules(dataset.config)],
-        )
-        windows = dataset.test_racks[0].windows[:8]
-        records = enforcer.impute_sequence(windows)
-        assert len(records) == len(windows)
-        record_violations, temporal_violations = enforcer.audit_sequence(records)
-        # Fallback records may deviate; everything else is guaranteed.
-        assert record_violations <= enforcer.trace.fallback_records
-        assert temporal_violations <= enforcer.trace.fallback_records
-
-    def test_records_contain_only_record_variables(self, setting):
-        dataset, model, per_record, temporal = setting
-        enforcer = SequenceEnforcer(
-            model, per_record, temporal, dataset.config,
-            EnforcerConfig(seed=1),
-            fallback_rules=[domain_bound_rules(dataset.config)],
-        )
-        records = enforcer.impute_sequence(dataset.test_racks[0].windows[:3])
-        names = set(window_variables(dataset.config.window))
-        for record in records:
-            assert set(record) == names
-
-    def test_synthesized_sequence_compliant(self, setting):
-        dataset, model, per_record, temporal = setting
-        enforcer = SequenceEnforcer(
-            model, per_record, temporal, dataset.config,
-            EnforcerConfig(seed=2),
-            fallback_rules=[domain_bound_rules(dataset.config)],
-        )
-        records = enforcer.synthesize_sequence(5)
-        assert len(records) == 5
-        record_violations, temporal_violations = enforcer.audit_sequence(records)
-        assert record_violations <= enforcer.trace.fallback_records
-        assert temporal_violations <= enforcer.trace.fallback_records
-
-    def test_temporal_rules_actually_bind(self, setting):
-        """A hand-written harsh temporal rule visibly constrains step 2."""
-        from repro.rules import Rule, RuleSet, var
-        from repro.smt import Le
-
-        dataset, model, _, _ = setting
-        smooth = RuleSet(name="smooth")
-        # |total - prev_total| <= 10: an aggressive smoothness constraint.
-        smooth.add(Rule("s1", Le(var("total") - var("prev_total"), 10),
-                        kind="temporal-octagon"))
-        smooth.add(Rule("s2", Le(var("prev_total") - var("total"), 10),
-                        kind="temporal-octagon"))
-        enforcer = SequenceEnforcer(
-            model, domain_bound_rules(dataset.config), smooth, dataset.config,
-            EnforcerConfig(seed=3),
-            fallback_rules=[domain_bound_rules(dataset.config)],
-        )
-        records = enforcer.synthesize_sequence(6)
-        diffs = [
-            abs(b["total"] - a["total"])
-            for a, b in zip(records, records[1:])
-        ]
-        assert all(d <= 10 for d in diffs), diffs
-
-
-class TestSequenceWaves:
-    """Batched wave scheduling across many sequences."""
-
-    def _enforcer(self, setting, seed=4):
-        dataset, model, per_record, temporal = setting
-        return SequenceEnforcer(
-            model, per_record, temporal, dataset.config,
-            EnforcerConfig(seed=seed),
-            fallback_rules=[zoom2net_manual_rules(dataset.config),
-                            domain_bound_rules(dataset.config)],
-        )
-
-    def test_impute_sequences_threads_context(self, setting):
-        dataset, *_ = setting
-        enforcer = self._enforcer(setting)
-        sequences = [rack.windows[:4] for rack in dataset.test_racks[:2]]
-        records = enforcer.impute_sequences(sequences, batch_size=4)
-        assert [len(r) for r in records] == [4, 4]
-        assert [len(o) for o in enforcer.last_sequence_outcomes] == [4, 4]
-        names = set(window_variables(dataset.config.window))
-        for sequence, outcomes in zip(
-            records, enforcer.last_sequence_outcomes
-        ):
-            for record, outcome in zip(sequence, outcomes):
-                assert set(record) == names
-                assert outcome.compliant or outcome.degraded
-            violations, temporal_violations = enforcer.audit_sequence(sequence)
-            fallback = enforcer.trace.fallback_records
-            assert violations <= fallback
-            assert temporal_violations <= fallback
-        assert enforcer.last_engine.stats.completed == 8
-
-    def test_impute_sequences_handles_ragged_lengths(self, setting):
-        dataset, *_ = setting
-        enforcer = self._enforcer(setting)
-        sequences = [
-            dataset.test_racks[0].windows[:5],
-            dataset.test_racks[1].windows[:2],
-        ]
-        records = enforcer.impute_sequences(sequences, batch_size=2)
-        assert [len(r) for r in records] == [5, 2]
-
-    def test_synthesize_sequences_shapes_and_audit(self, setting):
-        dataset, *_ = setting
-        enforcer = self._enforcer(setting, seed=6)
-        records = enforcer.synthesize_sequences(3, 4, batch_size=3)
-        assert [len(r) for r in records] == [4, 4, 4]
-        for sequence in records:
-            violations, temporal_violations = enforcer.audit_sequence(sequence)
-            assert violations <= enforcer.trace.fallback_records
-            assert temporal_violations <= enforcer.trace.fallback_records
-
-    def test_waves_are_deterministic(self, setting):
-        dataset, *_ = setting
-        sequences = [rack.windows[:3] for rack in dataset.test_racks[:2]]
-        runs = [
-            self._enforcer(setting).impute_sequences(sequences, batch_size=4)
-            for _ in range(2)
-        ]
-        assert runs[0] == runs[1]
+            mine_stream_rules([[]], dataset.config)

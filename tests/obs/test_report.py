@@ -1,4 +1,4 @@
-"""trace-report aggregation: per-stage tables and the solver-vs-LM split."""
+"""obs-report aggregation: per-stage tables and the solver-vs-LM split."""
 
 from repro.obs import ManualClock, SpanTracer
 from repro.obs.report import SOLVER_SPANS, aggregate, format_report

@@ -5,7 +5,7 @@ import pytest
 from repro.data import TelemetryConfig, build_dataset, fine_field
 from repro.data.dataset import variable_bounds
 from repro.data.telemetry import Window
-from repro.rules import Rule, RuleSet, paper_rules, var
+from repro.rules import MinerOptions, Rule, RuleSet, paper_rules, var
 from repro.stream import (
     MAX_HISTORY_DEPTH,
     WindowBinder,
@@ -16,6 +16,16 @@ from repro.stream import (
     mine_stream_rules,
     stream_bounds,
 )
+
+
+# Miner options under test: the defaults, and a relational set without
+# ratios at wider slack (conditionals on, unlike the defaults).
+MINER_OPTIONS = [
+    None,
+    MinerOptions(
+        identities=False, burst_implications=False, ratios=False, slack=3
+    ),
+]
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +44,7 @@ def _window(config, start):
 
 class TestNaming:
     def test_offset_one_uses_the_sequence_module_prefix(self):
-        # Depth-1 rules mined for repro.core.sequence keep working.
+        # Offset 1 keeps the plain prev_ names depth-1 rules were mined with.
         assert history_name("total", 1) == "prev_total"
         assert history_name("I0", 1) == "prev_I0"
 
@@ -80,21 +90,27 @@ class TestJoinedAssignments:
 class TestMining:
     def test_mined_rules_are_all_genuinely_temporal(self, dataset):
         racks = [rack.windows for rack in dataset.train_racks]
-        temporal = mine_stream_rules(racks, dataset.config)
-        assert len(temporal) > 0
-        for rule in temporal:
-            assert rule.kind.startswith("temporal-")
-            names = rule.variables()
-            assert any(n.startswith("prev") for n in names)
-            assert any(not n.startswith("prev") for n in names)
+        for options in MINER_OPTIONS:
+            temporal = mine_stream_rules(
+                racks, dataset.config, options=options
+            )
+            assert len(temporal) > 0
+            for rule in temporal:
+                assert rule.kind.startswith("temporal-")
+                names = rule.variables()
+                assert any(n.startswith("prev") for n in names)
+                assert any(not n.startswith("prev") for n in names)
 
     def test_training_sequence_satisfies_its_own_mined_rules(self, dataset):
         racks = [rack.windows for rack in dataset.train_racks]
-        temporal = mine_stream_rules(racks, dataset.config)
         binder = WindowBinder(dataset.config, depth=2)
-        for rack in racks:
-            records = [w.variables() for w in rack]
-            assert binder.boundary_violations(records, temporal) == 0
+        for options in MINER_OPTIONS:
+            temporal = mine_stream_rules(
+                racks, dataset.config, options=options
+            )
+            for rack in racks:
+                records = [w.variables() for w in rack]
+                assert binder.boundary_violations(records, temporal) == 0
 
     def test_too_short_racks_are_rejected(self, dataset):
         config = TelemetryConfig()

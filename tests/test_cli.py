@@ -174,7 +174,7 @@ class TestStreamCli:
 
 
 class TestObservabilityCli:
-    def test_impute_trace_out_then_trace_report(
+    def test_impute_trace_out_then_obs_report(
         self, workspace, tmp_path, capsys
     ):
         _, _, model, rules = workspace
@@ -194,12 +194,15 @@ class TestObservabilityCli:
         names = {span["name"] for span in spans}
         assert {"record", "step", "lm_forward", "feasible_digits"} <= names
 
-        assert main(["trace-report", "--trace", str(trace)]) == 0
-        report = capsys.readouterr().out
-        assert "per-record breakdown" in report
-        assert "1 records" in report
+        assert main(["obs-report", "--trace", str(trace)]) == 0
+        captured = capsys.readouterr()
+        assert "worker_sinks=0" in captured.err
+        assert "per-record breakdown" in captured.out
+        assert "1 records" in captured.out
 
-    def test_trace_report_json_output(self, workspace, tmp_path, capsys):
+    def test_obs_report_json_on_single_process_trace(
+        self, workspace, tmp_path, capsys
+    ):
         _, _, model, rules = workspace
         trace = tmp_path / "trace.jsonl"
         main([
@@ -208,18 +211,20 @@ class TestObservabilityCli:
             "--trace-out", str(trace),
         ])
         capsys.readouterr()
-        assert main(["trace-report", "--trace", str(trace), "--json"]) == 0
+        assert main(["obs-report", "--trace", str(trace), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["records"] == 1
+        assert report["totals"]["lm_ms"] > 0
+        assert report["totals"]["solver_ms"] > 0
         assert report["totals"]["lm_share"] + report["totals"][
             "solver_share"
         ] == pytest.approx(1.0)
 
-    def test_trace_report_rejects_malformed_trace(self, tmp_path, capsys):
+    def test_obs_report_rejects_malformed_trace(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"v": 1, "span": "nope"}\n')
         with pytest.raises(SystemExit, match="malformed trace"):
-            main(["trace-report", "--trace", str(bad)])
+            main(["obs-report", "--trace", str(bad)])
 
     def test_stderr_records_parse_with_shared_kv_convention(
         self, workspace, capsys
