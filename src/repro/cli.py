@@ -635,8 +635,11 @@ def _cmd_impute(args) -> int:
         raise SystemExit(f"infeasible prompt: {exc}")
     values = outcome.values
     fine = {fine_field(t): values[fine_field(t)] for t in range(config.window)}
+    # Audit only the rules this record can bind: a stream-scope pack's
+    # temporal rules name history fields that a lone record never has.
+    compliant = rules.restricted_to(list(values)).compliant(values)
     print(json.dumps({"coarse": coarse, "fine": fine,
-                      "compliant": rules.compliant(values),
+                      "compliant": compliant,
                       "degraded": outcome.degraded, "stage": outcome.stage}))
     _report_degradations(enforcer)
     return 0

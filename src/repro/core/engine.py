@@ -279,37 +279,28 @@ class EnforcementEngine:
     def impute_many(
         self,
         coarse_batch: Sequence[Mapping[str, int]],
-        contexts: Optional[Sequence[Optional[Mapping[str, int]]]] = None,
+        *,
         return_exceptions: bool = False,
         rule_set: Optional[object] = None,
     ) -> List[Union[RecordOutcome, BaseException]]:
         """Batched :meth:`~repro.core.enforcer.JitEnforcer.impute_record`."""
-        if contexts is None:
-            contexts = [None] * len(coarse_batch)
         requests = [
-            RecordRequest(
-                *self.enforcer.impute_plan(coarse, context),
-                rule_set=rule_set,
-            )
-            for coarse, context in zip(coarse_batch, contexts)
+            RecordRequest(*self.enforcer.impute_plan(coarse), rule_set=rule_set)
+            for coarse in coarse_batch
         ]
         return self.run(requests, return_exceptions=return_exceptions)
 
     def synthesize_many(
         self,
         count: int,
-        contexts: Optional[Sequence[Optional[Mapping[str, int]]]] = None,
+        *,
         return_exceptions: bool = False,
         rule_set: Optional[object] = None,
     ) -> List[Union[RecordOutcome, BaseException]]:
         """Batched :meth:`~repro.core.enforcer.JitEnforcer.synthesize_record`."""
-        if contexts is None:
-            contexts = [None] * count
         requests = [
-            RecordRequest(
-                *self.enforcer.synthesize_plan(context), rule_set=rule_set
-            )
-            for context in contexts
+            RecordRequest(*self.enforcer.synthesize_plan(), rule_set=rule_set)
+            for _ in range(count)
         ]
         return self.run(requests, return_exceptions=return_exceptions)
 

@@ -14,7 +14,7 @@ the containment property against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from .lincon import LinCon
 
@@ -102,14 +102,6 @@ class PropagationResult:
     converged: bool = True
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
 def _normalize_all(
     constraints: Iterable[LinCon], active: List[LinCon]
 ) -> bool:
@@ -184,11 +176,9 @@ class PreparedSystem:
             con = queue.pop()
             queued.discard(id(con))
             changed_vars = _propagate_one(con, domain)
-            if changed_vars is None:
+            if changed_vars is None:  # the row is certainly violated
                 return PropagationResult(False, domain)
             for var in changed_vars:
-                if domain[var].is_empty():
-                    return PropagationResult(False, domain)
                 for dependent in watch.get(var, ()):
                     if id(dependent) not in queued:
                         queue.append(dependent)
@@ -208,80 +198,88 @@ def propagate(
     return PreparedSystem(constraints).run(initial)
 
 
-def _term_range(
-    coeff: int, interval: Interval
-) -> Tuple[Optional[int], Optional[int]]:
-    """Range of ``coeff * x`` for x in the interval (None = unbounded)."""
-    if coeff >= 0:
-        lo = None if interval.lower is None else coeff * interval.lower
-        hi = None if interval.upper is None else coeff * interval.upper
-    else:
-        lo = None if interval.upper is None else coeff * interval.upper
-        hi = None if interval.lower is None else coeff * interval.lower
-    return lo, hi
-
-
 def _propagate_one(con: LinCon, domain: IntervalDomain) -> Optional[List[str]]:
-    """Tighten the domain with one constraint.
+    """Tighten the domain with one constraint, in O(k) for a row of k terms.
 
-    Returns the list of variables whose interval changed, or None when the
-    constraint is certainly violated.
+    Every term's range is taken once, before any tightening, and summed
+    with a count of its unbounded ends.  A variable's rest-sum is then the
+    total minus its own term, defined only when no *other* term is
+    unbounded.  Candidate bounds are compared as plain ints; an
+    :class:`Interval` is built only for a variable whose bound tightens.
+    Row variables are distinct (``LinCon`` is canonical), so no term's
+    range changes before the pass reaches it.
+
+    Returns the variables whose interval changed, in row order, or None
+    when the constraint is certainly violated -- in particular whenever a
+    tightened interval is empty, so a changed interval is never empty.
     """
-    if con.op == "!=":
+    op = con.op
+    if op == "!=":
         return _propagate_disequality(con, domain)
+    both = op == "=="
 
-    items = con.items
-    # Precompute the range of each term so per-variable rest-sums are O(1).
-    lows: List[Optional[int]] = []
-    highs: List[Optional[int]] = []
-    for var, coeff in items:
-        lo, hi = _term_range(coeff, domain.get(var, TOP))
-        lows.append(lo)
-        highs.append(hi)
-
-    def rest_sum(skip: int, use_low: bool) -> Optional[int]:
-        total = con.const
-        for k in range(len(items)):
-            if k == skip:
-                continue
-            value = lows[k] if use_low else highs[k]
-            if value is None:
-                return None
-            total += value
-        return total
+    # Each term gets  coeff*x <= -rest_min,  and under an equality also
+    # coeff*x >= -rest_max,  where rest_min (rest_max) is const plus the
+    # low (high) ends of the other terms.
+    terms = []
+    low_sum = high_sum = con.const
+    low_open = high_open = 0
+    for var, coeff in con.items:
+        interval = domain.get(var, TOP)
+        lower, upper = interval.lower, interval.upper
+        if coeff > 0:
+            lo = None if lower is None else coeff * lower
+            hi = None if upper is None else coeff * upper
+        else:
+            lo = None if upper is None else coeff * upper
+            hi = None if lower is None else coeff * lower
+        if lo is None:
+            low_open += 1
+        else:
+            low_sum += lo
+        if hi is None:
+            high_open += 1
+        else:
+            high_sum += hi
+        terms.append((var, coeff, lower, upper, lo, hi))
+    if low_open > 1 and (not both or high_open > 1):
+        return []  # every rest-sum is unbounded: nothing can tighten
 
     changed: List[str] = []
-    for idx, (var, coeff) in enumerate(items):
-        interval = domain.get(var, TOP)
-        new_interval = interval
-        # From  coeff*x + rest + const <= 0:  coeff*x <= -(rest_min + const)
-        rest_min = rest_sum(idx, use_low=True)
-        if rest_min is not None:
-            bound = -rest_min
+    for var, coeff, lower, upper, lo, hi in terms:
+        new_lower, new_upper = lower, upper
+        if lo is None:
+            rest = low_sum if low_open == 1 else None
+        else:
+            rest = low_sum - lo if low_open == 0 else None
+        if rest is not None:
             if coeff > 0:
-                new_interval = new_interval.intersect(
-                    Interval(None, _floor_div(bound, coeff))
-                )
+                cap = (-rest) // coeff
+                if new_upper is None or cap < new_upper:
+                    new_upper = cap
             else:
-                new_interval = new_interval.intersect(
-                    Interval(_ceil_div(bound, coeff), None)
-                )
-        if con.op == "==":
-            # Also  coeff*x >= -(rest_max + const).
-            rest_max = rest_sum(idx, use_low=False)
-            if rest_max is not None:
-                bound = -rest_max
+                cap = -(rest // coeff)
+                if new_lower is None or cap > new_lower:
+                    new_lower = cap
+        if both:
+            if hi is None:
+                rest = high_sum if high_open == 1 else None
+            else:
+                rest = high_sum - hi if high_open == 0 else None
+            if rest is not None:
                 if coeff > 0:
-                    new_interval = new_interval.intersect(
-                        Interval(_ceil_div(bound, coeff), None)
-                    )
+                    cap = -(rest // coeff)
+                    if new_lower is None or cap > new_lower:
+                        new_lower = cap
                 else:
-                    new_interval = new_interval.intersect(
-                        Interval(None, _floor_div(bound, coeff))
-                    )
-        if new_interval != interval:
-            domain[var] = new_interval
-            if new_interval.is_empty():
+                    cap = (-rest) // coeff
+                    if new_upper is None or cap < new_upper:
+                        new_upper = cap
+        if new_lower != lower or new_upper != upper:
+            domain[var] = Interval(new_lower, new_upper)
+            if new_upper is not None and new_lower is not None and (
+                new_lower > new_upper
+            ):
                 return None
             changed.append(var)
     return changed

@@ -1,11 +1,14 @@
 """Interval propagation: soundness (never prunes a solution) + precision."""
 
 import itertools
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from reference_propagation import reference_propagate_one
 
+from repro.smt import intervals
 from repro.smt.intervals import Interval, PreparedSystem, propagate
 from repro.smt.lincon import LinCon
 
@@ -180,3 +183,90 @@ def test_converged_result_is_order_independent(random_cons, extra, box, rnd):
         assert run.feasible == plain.feasible
         if plain.feasible:
             assert run.domain == plain.domain
+
+
+# -- the one-pass row kernel against the O(k^2) reference ----------------------
+
+WIDE_VARS = ["a", "b", "c", "d", "e"]
+
+bound_strategy = st.one_of(st.none(), st.integers(-12, 12))
+
+# Half-open, unbounded, pinned and empty intervals; a variable may also be
+# missing from the domain altogether (the kernel reads it as TOP).
+domain_strategy = st.dictionaries(
+    st.sampled_from(WIDE_VARS),
+    st.builds(Interval, bound_strategy, bound_strategy),
+)
+
+row_strategy = st.builds(
+    lambda coeffs, const, op: LinCon.make(coeffs, const, op),
+    st.dictionaries(
+        st.sampled_from(WIDE_VARS), st.integers(-7, 7), min_size=1
+    ),
+    st.integers(-30, 30),
+    st.sampled_from(["<=", "==", "!="]),
+)
+
+
+@given(row_strategy, domain_strategy)
+# One unbounded term: only that variable gets a bound.
+@example(LinCon.make({"a": 1, "b": 2}, -10, "<="), {"a": Interval(0, 3)})
+# Two unbounded terms: nothing can tighten.
+@example(LinCon.make({"a": 1, "b": -1, "c": 1}, 0, "<="), {"a": Interval(0, 3)})
+# Negative coefficients round toward the feasible side.
+@example(
+    LinCon.make({"a": -3, "b": 2}, 7, "=="),
+    {"a": Interval(None, 9), "b": Interval(-4, None)},
+)
+# A refutation leaves the emptied interval in the domain.
+@example(
+    LinCon.make({"a": 1, "b": 1}, -1, "=="),
+    {"a": Interval(5, 6), "b": Interval(0, 2)},
+)
+# A disequality shaves a pinned endpoint.
+@example(
+    LinCon.make({"a": 2, "b": 1}, -4, "!="),
+    {"a": Interval(2, 2), "b": Interval(0, 5)},
+)
+@settings(max_examples=600, deadline=None)
+def test_row_step_matches_reference_kernel(con, domain):
+    """One row step: the same domain, the same changed list in the same
+    order, and None in the same cases."""
+    mine, theirs = dict(domain), dict(domain)
+    assert intervals._propagate_one(con, mine) == reference_propagate_one(
+        con, theirs
+    )
+    assert mine == theirs
+
+
+@given(
+    st.lists(row_strategy, min_size=1, max_size=7),
+    st.lists(row_strategy, max_size=2),
+    domain_strategy,
+    st.integers(1, 40),
+)
+# The non-converging descent of test_iteration_cap_is_reported, at the
+# real iteration cap.
+@example(
+    [
+        LinCon.make({"x": 1}, -10, "<="),
+        LinCon.make({"x": 1, "y": -1}, 1, "<="),
+        LinCon.make({"y": 1, "x": -1}, 1, "<="),
+    ],
+    [],
+    {},
+    intervals._WIDEN_LIMIT,
+)
+@settings(max_examples=300, deadline=None)
+def test_run_matches_reference_kernel(cons, extra, initial, limit):
+    """A whole run takes the same steps under either kernel.  A small
+    iteration cap cuts most runs short, so ``converged=False`` domains --
+    which depend on the visiting order -- are compared too."""
+    results = []
+    for kernel in (intervals._propagate_one, reference_propagate_one):
+        with mock.patch.object(intervals, "_propagate_one", kernel), \
+                mock.patch.object(intervals, "_WIDEN_LIMIT", limit):
+            results.append(PreparedSystem(cons).run(initial, extra))
+    mine, theirs = results
+    assert (mine.feasible, mine.converged) == (theirs.feasible, theirs.converged)
+    assert mine.domain == theirs.domain

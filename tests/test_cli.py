@@ -103,6 +103,19 @@ class TestStreamCli:
         assert any(kind.startswith("temporal-") for kind in kinds)
         assert "sum" in kinds  # the imputation rules ride along
 
+    def test_impute_with_stream_scope_pack(self, stream_workspace, capsys):
+        # A lone record has no history fields: the audit covers the rules
+        # it can bind instead of raising on the temporal ones.
+        _, _, model, rules = stream_workspace
+        code = main([
+            "impute", "--model", str(model), "--rules", str(rules),
+            "--total", "80", "--cong", "2", "--retx", "1", "--egr", "80",
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["compliant"] is True
+        assert sum(payload["fine"].values()) == 80
+
     def test_generate_is_deterministic_jsonl(self, capsys):
         assert main(["stream", "--generate", "12", "--stream-seed", "5"]) == 0
         first = capsys.readouterr().out
