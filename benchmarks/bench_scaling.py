@@ -125,6 +125,9 @@ def run_batched_throughput(batch_sizes=(1, 8, 16), records=800, trials=3,
                            seed=5):
     """Measure imputation throughput: legacy serial vs engine batch sizes.
 
+    The "legacy" row is the serial enforcer, which shares one oracle cache
+    across its records just as the engine shares one across its lanes.
+
     Two workloads bracket the cache regimes the engine is designed for:
 
     - ``hot``: 2 distinct prompts cycled (repeated re-imputation of the

@@ -187,10 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="mid-flight admission (continuous) or wave barriers (wave)",
     )
     serve_cmd.add_argument(
-        "--cache-entries", type=_nonnegative_int, default=None,
-        help="oracle cache capacity (0 disables the cache)",
-    )
-    serve_cmd.add_argument(
         "--workers", type=_nonnegative_int, default=0,
         help="supervised worker processes (0 = single-process scheduler; "
         "with N > 0, --lanes means lanes per worker)",
@@ -511,17 +507,15 @@ def _report_degradations(
     trace = enforcer.trace
     if engine is not None:
         throughput = engine.stats.records_per_sec()
-        cache = engine.cache
     else:
         throughput = (
             trace.records / trace.wall_time if trace.wall_time > 0 else 0.0
         )
-        cache = enforcer.oracle_cache
-    pairs = [("records_per_sec", f"{throughput:.1f}")]
-    if cache is not None:
-        pairs.append(("oracle_cache_hit_rate", f"{cache.hit_rate():.4f}"))
-    pairs.append(("live_queries", enforcer.mask_stats.live_queries))
-    emit_kv("throughput", pairs)
+    emit_kv("throughput", [
+        ("records_per_sec", f"{throughput:.1f}"),
+        ("oracle_cache_hit_rate", f"{enforcer.oracle_cache.hit_rate():.4f}"),
+        ("live_queries", enforcer.mask_stats.live_queries),
+    ])
 
 
 def _load_windows(path: Path) -> List[dict]:
@@ -837,7 +831,6 @@ def _cmd_serve(args) -> int:
             workers=args.workers,
             lanes_per_worker=args.lanes,
             queue_depth=args.queue_depth,
-            cache_entries=args.cache_entries,
             rule_registry=registry,
             latency_buckets=latency_buckets,
             slo=slo,
@@ -863,7 +856,6 @@ def _cmd_serve(args) -> int:
             lanes=args.lanes,
             queue_depth=args.queue_depth,
             admit_policy=args.admit_policy,
-            cache_entries=args.cache_entries,
             rule_registry=registry,
             latency_buckets=latency_buckets,
             slo=slo,

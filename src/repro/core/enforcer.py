@@ -130,33 +130,31 @@ def _enforcer_samples(enforcer: "JitEnforcer") -> List[Sample]:
             labels={"resource": resource},
             help="Deterministic solver work on the enforcer's own lane",
         ))
-    cache = enforcer.oracle_cache
-    if cache is not None:
-        stats = cache.stats()
+    stats = enforcer.oracle_cache.stats()
+    for key in ("hits", "misses", "evictions"):
+        samples.append(Sample.counter(
+            f"repro_enforcer_oracle_cache_{key}_total", stats[key],
+            help=f"Oracle cache {key}",
+        ))
+    samples.append(Sample.gauge(
+        "repro_enforcer_oracle_cache_entries", stats["entries"],
+        help="Oracle cache resident entries",
+    ))
+    # Per-partition breakdown (partition = rule-set fingerprint): makes
+    # each tenant's oracle traffic attributable.
+    for partition, row in stats["partitions"].items():
+        labels = {"fingerprint": str(partition)}
         for key in ("hits", "misses", "evictions"):
             samples.append(Sample.counter(
-                f"repro_enforcer_oracle_cache_{key}_total", stats[key],
-                help=f"Oracle cache {key}",
+                f"repro_oracle_cache_partition_{key}_total", row[key],
+                labels=labels,
+                help=f"Oracle cache {key} per rule-set fingerprint",
             ))
         samples.append(Sample.gauge(
-            "repro_enforcer_oracle_cache_entries", stats["entries"],
-            help="Oracle cache resident entries",
+            "repro_oracle_cache_partition_entries", row["entries"],
+            labels=labels,
+            help="Oracle cache resident entries per rule-set fingerprint",
         ))
-        # Per-partition breakdown (partition = rule-set fingerprint): makes
-        # each tenant's oracle traffic attributable.
-        for partition, row in stats.get("partitions", {}).items():
-            labels = {"fingerprint": str(partition)}
-            for key in ("hits", "misses", "evictions"):
-                samples.append(Sample.counter(
-                    f"repro_oracle_cache_partition_{key}_total", row[key],
-                    labels=labels,
-                    help=f"Oracle cache {key} per rule-set fingerprint",
-                ))
-            samples.append(Sample.gauge(
-                "repro_oracle_cache_partition_entries", row["entries"],
-                labels=labels,
-                help="Oracle cache resident entries per rule-set fingerprint",
-            ))
     # LM-side cache counters, uniform across backends: the transformer
     # aggregates its KV caches, the n-gram its context-row memo -- both
     # expose lm_cache_stats() with the same hit/miss/invalidation keys.
@@ -207,7 +205,9 @@ class JitEnforcer:
     ``oracle_wrapper`` is the fault-injection seam: every oracle (primary,
     fallback, and degraded-stage tiers) is passed through it at
     construction, so chaos tests can interpose failures (see
-    :mod:`repro.testing.faults`) without touching the enforcement logic.
+    :mod:`repro.testing.faults`) without touching the enforcement logic;
+    :func:`repro.testing.uncached_oracle` builds the uncached parity
+    reference through the same seam.
     """
 
     def __init__(
@@ -234,23 +234,18 @@ class JitEnforcer:
         # 0): lanes not bound to a tenant pack enforce these, and rebinds
         # compare content hashes against it.
         self.default_handle = RuleSetHandle.for_rules(rules)
-        # One cache shared by every lane (and every oracle tier within a
-        # lane): keys embed the rule set's content fingerprint + the exact
-        # assignment history, so concurrent sessions -- and lanes rebound
-        # across tenant packs -- safely share answers within a partition
-        # while differing rule content can never alias.
-        self.oracle_cache: Optional[OracleCache] = (
-            OracleCache(self.config.oracle_cache_entries)
-            if self.config.oracle_cache_entries > 0
-            else None
-        )
+        # One cache shared by every lane of every pool on this enforcer
+        # (and every oracle tier within a lane): keys embed the rule set's
+        # content fingerprint + the exact assignment history, so concurrent
+        # sessions -- and lanes rebound across tenant packs -- safely share
+        # answers within a partition while differing rule content can
+        # never alias.
+        self.oracle_cache = OracleCache(OracleCache.DEFAULT_ENTRIES)
         # Shared by every oracle tier of every lane: the counters describe
         # the enforcer, not a tier.
         self.mask_stats = MaskLookupStats()
-        # The record-level API runs on a one-lane pool with config settings.
-        self._pool = LanePool(
-            self, 1, solver_pool=self.config.solver_pool, cache_entries=0
-        )
+        # The record-level API runs on a one-lane pool.
+        self._pool = LanePool(self, 1)
         self._lane = self._pool.lanes[0]
         self.meter = self._lane.meter
         self._rng_entropy = self.config.seed
@@ -272,17 +267,14 @@ class JitEnforcer:
 
     def _build_lane(
         self,
-        cache: Optional[OracleCache],
-        pool_reuse: Optional[int],
         handle: Optional[RuleSetHandle] = None,
         meter: Optional[BudgetMeter] = None,
     ) -> Lane:
         """A fresh oracle lane: one tier set + meter, fault-wrapped.
 
         Each lane is an isolated solver context: a :class:`LanePool` builds
-        one per slot, with its own oracle cache and solver pooling
-        (``pool_reuse=None`` takes the config's), so concurrent sessions
-        never share solver state.
+        one per slot over the enforcer's shared oracle cache, so concurrent
+        sessions never share solver state.
 
         ``handle`` selects the primary rule pack (defaulting to the
         constructor rules); the fallback tiers stay the enforcer's own.
@@ -295,10 +287,7 @@ class JitEnforcer:
             meter = BudgetMeter(self.config.budget)
         handle = handle or self.default_handle
         all_rules = [handle.rules, *self.fallback_rules]
-        if pool_reuse is None:
-            pool_reuse = self.config.solver_pool
-        kwargs = dict(cache=cache, pool_reuse=pool_reuse,
-                      mask_stats=self.mask_stats)
+        kwargs = dict(cache=self.oracle_cache, mask_stats=self.mask_stats)
         tiers = [
             (tier_rules, wrap(oracle_cls(
                 tier_rules, self.bounds, meter=meter, **kwargs)))
@@ -316,8 +305,6 @@ class JitEnforcer:
             interval_tiers=interval_tiers,
             meter=meter,
             handle=handle,
-            cache=cache,
-            pool_reuse=pool_reuse,
         )
 
     def bind_lane(
@@ -327,23 +314,18 @@ class JitEnforcer:
 
         Lanes are sticky: when the incoming handle's content hash matches
         the lane's current binding, only the handle metadata is updated --
-        no oracle churn, and pooled solver state survives.  On a real
-        content change the tiers are rebuilt while the *same* meter keeps
-        accumulating (cumulative solver-work totals must survive rebinds)
-        and the same partitioned cache is reused, which is safe because
-        every key embeds the content fingerprint.
+        no oracle churn.  On a real content change the tiers are rebuilt
+        while the *same* meter keeps accumulating (cumulative solver-work
+        totals must survive rebinds) and the same partitioned cache is
+        reused, which is safe because every key embeds the content
+        fingerprint.
         """
         target = handle or self.default_handle
         current = lane.handle or self.default_handle
         if current.content_hash == target.content_hash:
             lane.handle = target
             return lane
-        rebuilt = self._build_lane(
-            cache=lane.cache,
-            pool_reuse=lane.pool_reuse,
-            handle=target,
-            meter=lane.meter,
-        )
+        rebuilt = self._build_lane(handle=target, meter=lane.meter)
         lane.tiers = rebuilt.tiers
         lane.interval_tiers = rebuilt.interval_tiers
         lane.handle = target

@@ -3,9 +3,9 @@
 The production argument for batching is the language model: one forward
 pass over a (B, T) batch costs far less than B sequential forwards, and an
 n-gram lookup over B lanes dedupes to a handful of distinct contexts.  The
-solver side batches differently -- work is *shared* (a prefix-keyed
-:class:`~repro.core.feasible.OracleCache` across lanes) and *amortized*
-(pooled solvers reused across consecutive records of a lane).
+solver side batches differently: each record gets a fresh solver, and work
+is *shared* through the enforcer's prefix-keyed
+:class:`~repro.core.feasible.OracleCache` across lanes and records.
 :class:`LanePool` is the one driver of that loop, for every caller: the
 serial enforcer and the stream executor step a one-lane pool.
 
@@ -22,9 +22,10 @@ resident :class:`~repro.core.session.EnforcementSession`\\ s in lock-step:
    loop.
 
 Determinism: a record's sampling depends only on its own rng stream and on
-oracle answers, and the cached/pooled oracles return exactly what fresh
-ones would (see feasible.py) -- so the engine emits byte-identical records
-at any batch size, including batch 1 vs the serial enforcer.
+oracle answers, and the cached oracles return exactly what uncached ones
+would under an unlimited budget (see feasible.py) -- so the engine emits
+byte-identical records at any batch size, including batch 1 vs the serial
+enforcer.
 """
 
 from __future__ import annotations
@@ -58,38 +59,21 @@ class LanePool:
     Every driver -- the serial enforcer and the stream executor (one lane),
     the offline engine and the serving scheduler (N lanes) -- runs on one:
     ``size`` lanes (solver state never shared across concurrent sessions)
-    over one prefix-keyed :class:`~repro.core.feasible.OracleCache` and
-    pooled solvers (``solver_pool=0`` / ``cache_entries=0`` opt out), plus
-    a KV-cache row per lane when the model supports one.  :meth:`step` is
-    the only place a session gets a distribution.
+    over the enforcer's prefix-keyed
+    :class:`~repro.core.feasible.OracleCache`, plus a KV-cache row per lane
+    when the model supports one.  :meth:`step` is the only place a session
+    gets a distribution.
     """
 
-    def __init__(
-        self,
-        enforcer: JitEnforcer,
-        size: int,
-        solver_pool: Optional[int] = 64,
-        cache_entries: Optional[int] = None,
-    ):
+    def __init__(self, enforcer: JitEnforcer, size: int):
         if size < 1:
             raise ValueError("lane pool size must be >= 1")
         # Weak: an enforcer owns a pool itself, and a strong back-reference
         # would leave every enforcer a cycle only the cyclic collector frees.
         self._enforcer = weakref.ref(enforcer)
         self.size = size
-        if enforcer.oracle_cache is not None:
-            self.cache: Optional[OracleCache] = enforcer.oracle_cache
-        else:
-            entries = (
-                OracleCache.DEFAULT_ENTRIES
-                if cache_entries is None
-                else cache_entries
-            )
-            self.cache = OracleCache(entries) if entries else None
-        self.lanes: List[Lane] = [
-            enforcer._build_lane(cache=self.cache, pool_reuse=solver_pool)
-            for _ in range(size)
-        ]
+        self.cache: OracleCache = enforcer.oracle_cache
+        self.lanes: List[Lane] = [enforcer._build_lane() for _ in range(size)]
         # Per-lane KV-cache rows for incremental LM decoding: row i belongs
         # to lane i for the pool's lifetime.  Lane reuse and session rewinds
         # are handled by the cache's prefix matching (the next lookup trims
@@ -158,8 +142,8 @@ class LanePool:
     def retire(self, slot: int) -> None:
         """Quarantine ``slot`` after its session died mid-record.
 
-        Its KV row and its oracles' pooled solver frames or refold
-        snapshots may be out of sync with committed output; drop both.
+        Its KV row and its oracles' solver frames or refold snapshots may
+        be out of sync with committed output; drop both.
         """
         if self.kv_cache is not None:
             self.kv_cache.invalidate(slot)
@@ -177,8 +161,8 @@ class LanePool:
             totals.update(lane.meter.snapshot())
         return dict(totals)
 
-    def cache_stats(self) -> Optional[Dict[str, float]]:
-        return self.cache.stats() if self.cache is not None else None
+    def cache_stats(self) -> Dict[str, float]:
+        return self.cache.stats()
 
     def lm_cache_stats(self) -> Optional[Dict[str, float]]:
         return self.kv_cache.stats() if self.kv_cache is not None else None
@@ -237,12 +221,9 @@ _Slot = Optional[Tuple[int, EnforcementSession, List[int]]]
 class EnforcementEngine:
     """Drives N enforcement sessions in lock-step over one enforcer.
 
-    The engine builds a :class:`LanePool` from the enforcer's factory, with
-    solver pooling and the shared oracle cache switched ON (they default
-    OFF in :class:`~repro.core.session.EnforcerConfig`, which the serial
-    enforcer's own one-lane pool follows).  ``cache_entries=None``
-    takes :attr:`OracleCache.DEFAULT_ENTRIES`; pass ``solver_pool=0`` or
-    ``cache_entries=0`` to opt out.
+    The engine builds a :class:`LanePool` of ``batch_size`` lanes over the
+    enforcer's oracle cache -- the one the serial enforcer's own one-lane
+    pool uses too.
 
     Within one :meth:`run` the slot refill is already continuous (a freed
     slot takes the next queued request mid-flight); the *wave barrier* is
@@ -251,28 +232,13 @@ class EnforcementEngine:
     scheduler (:mod:`repro.serve.scheduler`) lifts exactly that barrier.
     """
 
-    def __init__(
-        self,
-        enforcer: JitEnforcer,
-        batch_size: int = 8,
-        solver_pool: Optional[int] = 64,
-        cache_entries: Optional[int] = None,
-    ):
+    def __init__(self, enforcer: JitEnforcer, batch_size: int = 8):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.enforcer = enforcer
         self.batch_size = batch_size
-        self.pool = LanePool(
-            enforcer,
-            batch_size,
-            solver_pool=solver_pool,
-            cache_entries=cache_entries,
-        )
+        self.pool = LanePool(enforcer, batch_size)
         self.stats = EngineStats()
-
-    @property
-    def cache(self) -> Optional[OracleCache]:
-        return self.pool.cache
 
     # -- work submission -------------------------------------------------------
 

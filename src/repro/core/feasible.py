@@ -71,7 +71,7 @@ StateKey = Tuple[Tuple[Tuple[str, int], ...], Tuple[Tuple[str, int], ...]]
 
 
 class OracleCache:
-    """Bounded memo shared by every oracle of one enforcer or engine.
+    """Bounded memo shared by every oracle of one enforcer.
 
     Concurrent sessions of a batched engine repeatedly reach identical
     partial assignments -- every synthesis record starts from the empty
@@ -98,8 +98,7 @@ class OracleCache:
     drops a retired pack's verdicts wholesale.
     """
 
-    #: Default FIFO capacity, used by the engine and the serving scheduler
-    #: when the caller does not configure one explicitly.
+    #: FIFO capacity of every enforcer's cache.
     DEFAULT_ENTRIES = 65536
 
     def __init__(self, max_entries: int = DEFAULT_ENTRIES):
@@ -224,9 +223,6 @@ class OracleCache:
             "hit_rate": round(self.hit_rate(), 4),
             "partitions": partitions,
         }
-
-    # Backwards-compatible alias (pre-serving callers used snapshot()).
-    snapshot = stats
 
 
 def residualize(formula: Formula, fixed: Mapping[str, int]) -> Formula:
@@ -434,10 +430,8 @@ class FeasibilityOracle:
     exhaustion surfaces as :class:`~repro.errors.SolverBudgetExceeded` --
     distinct from :class:`InfeasibleRecordError`, which is a genuine UNSAT.
 
-    ``cache`` (optional) is an :class:`OracleCache` shared across the
-    oracles of one enforcer or engine; ``pool_reuse`` > 0 lets solver-backed
-    tiers keep one solver instance across that many consecutive records
-    (reset via push/pop) instead of rebuilding it per record.
+    ``cache`` is the :class:`OracleCache` shared across the oracles of one
+    enforcer; an oracle built without one gets a private cache.
 
     ``mask_stats`` (optional) is a :class:`MaskLookupStats` shared by
     every oracle of one enforcer; each begin, feasible-set query,
@@ -450,15 +444,13 @@ class FeasibilityOracle:
         bounds: Bounds,
         meter: Optional[BudgetMeter] = None,
         cache: Optional[OracleCache] = None,
-        pool_reuse: int = 0,
         mask_stats: Optional[MaskLookupStats] = None,
     ):
         self.rules = rules
         self.bounds = dict(bounds)
         self.fixed: Dict[str, int] = {}
         self.meter = meter
-        self.cache = cache
-        self.pool_reuse = int(pool_reuse)
+        self.cache = cache if cache is not None else OracleCache()
         self.mask_stats = mask_stats
         # Content-hashed tag: the fingerprint is the cache *partition*, so
         # oracles over identical rule content share entries (across lanes,
@@ -486,8 +478,6 @@ class FeasibilityOracle:
     def _cached_feasible_set(self, variable: str, compute) -> FeasibleSet:
         """Memoized feasible set for the current state; sound because the
         state key pins the oracle's exact logical state."""
-        if self.cache is None:
-            return compute()
         key = self._cache_key("fs", variable)
         hit = self.cache.lookup(key)
         if hit is not None:
@@ -512,8 +502,8 @@ class FeasibilityOracle:
         sync with its state key; the next ``begin_record`` would then adopt
         stale solver frames or refold snapshots.  Subclasses extend this to
         tear down anything that could survive into the next record --
-        pooled solvers, refold state, and the shared-cache snapshots the
-        dying record wrote under its current state key.
+        the record's solver, refold state, and the shared-cache snapshots
+        the dying record wrote under its current state key.
         """
         self.fixed = {}
         self._state_key = ((), ())
@@ -551,24 +541,17 @@ class SmtOracle(FeasibilityOracle):
     "dynamic partial instantiation": fixing values deactivates rules (their
     residual simplifies to TRUE) and specializes the rest.
 
-    With ``pool_reuse`` == 0 a fresh solver is built per record (cheap at
-    residual size).  With ``pool_reuse`` > 0 one solver is kept across that
-    many consecutive records: every record's assertions live inside a
-    dedicated push level, popped at the next ``begin_record``, so the
-    incremental SAT core's learned theory lemmas and Tseitin encodings
-    carry over -- they are valid facts about the *atoms*, independent of
-    which record asserted them.  The reuse cap bounds the clause-database
-    growth that popped selector levels leave behind.
+    Every record gets a fresh solver (cheap at residual size), so nothing
+    a lane's earlier records asserted or learned steers the next record's
+    search.  Shared work goes through the state-keyed :class:`OracleCache`
+    instead.
 
-    Reuse preserves *verdicts and exact optima* -- SAT/UNSAT answers and
-    ``feasible_interval`` endpoints are pure functions of the asserted
-    formulas -- but NOT model choice or work counters: retained lemmas
-    steer which model the SAT core finds first and how many theory rounds
-    a query takes.  Byte-determinism therefore requires that only
-    verdicts and optima reach emitted records; :meth:`any_model` values
-    must never be emitted directly (the enforcer's forced-value path
-    learned this the hard way: pooled serving lanes and fresh-solver CLI
-    lanes forced different bytes for the same record).
+    Only verdicts and exact optima may reach emitted records: SAT/UNSAT
+    answers and ``feasible_interval`` endpoints are pure functions of the
+    asserted formulas, but the model the SAT core finds first depends on
+    the order of the solver's queries, which cache hits change.
+    :meth:`any_model` values must therefore never be emitted directly (the
+    enforcer's forced-value path takes the feasible-set minimum).
     """
 
     def __init__(
@@ -577,40 +560,10 @@ class SmtOracle(FeasibilityOracle):
         bounds: Bounds,
         meter: Optional[BudgetMeter] = None,
         cache: Optional[OracleCache] = None,
-        pool_reuse: int = 0,
         mask_stats: Optional[MaskLookupStats] = None,
     ):
-        super().__init__(
-            rules,
-            bounds,
-            meter,
-            cache=cache,
-            pool_reuse=pool_reuse,
-            mask_stats=mask_stats,
-        )
+        super().__init__(rules, bounds, meter, cache=cache, mask_stats=mask_stats)
         self._solver: Optional[Solver] = None
-        self._open_levels = 0  # record frame + one level per fix()
-        self._pool_used = 0  # records served by the current solver
-        self._base_fixed: Optional[Dict[str, int]] = None  # frame's assignment
-        self._base_ok = False  # frame fully asserted + proven SAT
-
-    def _fresh_record_solver(self) -> Solver:
-        """A solver positioned at an empty record frame."""
-        if (
-            self._solver is None
-            or self.pool_reuse <= 0
-            or self._pool_used >= self.pool_reuse
-        ):
-            self._solver = Solver(meter=self.meter)
-            self._pool_used = 0
-        else:
-            # Pop the previous record's frame(s); learned lemmas survive.
-            for _ in range(self._open_levels):
-                self._solver.pop()
-        self._solver.push()
-        self._open_levels = 1
-        self._pool_used += 1
-        return self._solver
 
     def begin_record(self, fixed: Optional[Mapping[str, int]] = None) -> None:
         self._count_query()
@@ -622,26 +575,10 @@ class SmtOracle(FeasibilityOracle):
     def _begin_record_impl(self, fixed: Optional[Mapping[str, int]]) -> None:
         self.fixed = {k: int(v) for k, v in (fixed or {}).items()}
         self._reset_state_key(self.fixed)
-        # Pool fast path: consecutive records with the *same* base assignment
-        # (ubiquitous in synthesis, where every record starts from {}) keep
-        # the record frame's assertions -- pop only the fix() levels back to
-        # the frame, skipping residualization, folding, re-assertion, and
-        # the initial SAT check (whose answer is pinned by the frame).
-        if (
-            self._base_ok
-            and self._solver is not None
-            and self.pool_reuse > 0
-            and self._pool_used < self.pool_reuse
-            and self.fixed == self._base_fixed
-        ):
-            for _ in range(self._open_levels - 1):
-                self._solver.pop()
-            self._open_levels = 1
-            self._pool_used += 1
-            return
-        self._base_fixed = dict(self.fixed)
-        self._base_ok = False
-        self._solver = self._fresh_record_solver()
+        # The record's assertions sit in one push frame: without it the
+        # selector numbering, and so the work a budget meters, would move.
+        self._solver = Solver(meter=self.meter)
+        self._solver.push()
         residual = residualize_pack(compiled_pack(self.rules), self.fixed, harvest=False)
         if residual is None:
             raise InfeasibleRecordError(f"rule refuted by fixed values {self.fixed}")
@@ -675,7 +612,6 @@ class SmtOracle(FeasibilityOracle):
             raise InfeasibleRecordError(
                 f"rules are unsatisfiable given fixed values {self.fixed}"
             )
-        self._base_ok = True
 
     def feasible_set(self, variable: str) -> FeasibleSet:
         self._count_query()
@@ -697,12 +633,10 @@ class SmtOracle(FeasibilityOracle):
 
     def confirm_status(self, variable: str, value: int) -> str:
         self._count_query()
-        key = None
-        if self.cache is not None:
-            key = self._cache_key("confirm", variable, int(value))
-            hit = self.cache.lookup(key)
-            if hit is not None:
-                return hit
+        key = self._cache_key("confirm", variable, int(value))
+        hit = self.cache.lookup(key)
+        if hit is not None:
+            return hit
         self._solver.push()
         try:
             self._solver.add(Eq(IntVar(variable), value))
@@ -711,7 +645,7 @@ class SmtOracle(FeasibilityOracle):
             self._solver.pop()
         # Only definite verdicts are cached: UNKNOWN means the budget ran
         # out, and a later query under a fresh budget may well decide it.
-        if key is not None and status in (SAT, UNSAT):
+        if status in (SAT, UNSAT):
             self.cache.store(key, status)
         return status
 
@@ -719,30 +653,23 @@ class SmtOracle(FeasibilityOracle):
         self.fixed[variable] = value
         self._extend_state_key(variable, value)
         self._solver.push()
-        self._open_levels += 1
         self._solver.add(Eq(IntVar(variable), value))
 
     def discard_record_state(self) -> None:
-        """Retire the pooled solver outright: its push/pop frames and the
-        ``_base_ok`` fast-path marker may not match the state key after a
-        mid-record abort, and rebuilding one solver is cheap next to
-        serving a wrong answer from a stale frame."""
+        """Drop the record's solver: its push/pop frames may not match the
+        state key after a mid-record abort."""
         super().discard_record_state()
         self._solver = None
-        self._open_levels = 0
-        self._pool_used = 0
-        self._base_fixed = None
-        self._base_ok = False
 
     def any_model(self) -> Dict[str, int]:
         """A full rule-compliant completion of the current prefix.
 
         Which model comes back depends on solver-internal search state
-        (learned clauses, variable numbering, pooled-reuse history), so
-        the values are *not* deterministic across solver configurations.
-        Use it for existence checks and audits, never as a source of
-        emitted record bytes -- those must come from verdicts and exact
-        interval optima, which reuse does preserve.
+        (learned clauses, variable numbering, which queries the cache
+        answered), so the values are *not* deterministic across cache
+        histories.  Use it for existence checks and audits, never as a
+        source of emitted record bytes -- those must come from verdicts
+        and exact interval optima.
         """
         self._count_query()
         result = self._solver.check()
@@ -859,17 +786,9 @@ class IntervalOracle(FeasibilityOracle):
         bounds: Bounds,
         meter: Optional[BudgetMeter] = None,
         cache: Optional[OracleCache] = None,
-        pool_reuse: int = 0,
         mask_stats: Optional[MaskLookupStats] = None,
     ):
-        super().__init__(
-            rules,
-            bounds,
-            meter,
-            cache=cache,
-            pool_reuse=pool_reuse,
-            mask_stats=mask_stats,
-        )
+        super().__init__(rules, bounds, meter, cache=cache, mask_stats=mask_stats)
         self._refuted = False
         self._set_state(dict(bounds), [], [])
 
@@ -891,8 +810,6 @@ class IntervalOracle(FeasibilityOracle):
 
     def _restore_istate(self) -> bool:
         """Adopt a cached refold state for the current state key, if any."""
-        if self.cache is None:
-            return False
         hit = self.cache.lookup(self._cache_key("istate"))
         if hit is None:
             return False
@@ -906,8 +823,6 @@ class IntervalOracle(FeasibilityOracle):
         return True
 
     def _store_istate(self) -> None:
-        if self.cache is None:
-            return
         self.cache.store(
             self._cache_key("istate"),
             (
@@ -992,7 +907,7 @@ class IntervalOracle(FeasibilityOracle):
             return None
         if extra_var is None and self._domain_cache is not None:
             return self._domain_cache
-        if extra_var is None and self.cache is not None:
+        if extra_var is None:
             # The propagated domain is a pure function of the refold state,
             # which the state key pins exactly -- so unlike ``_domain_cache``
             # (which must be dropped on every state change) the shared entry
@@ -1030,10 +945,9 @@ class IntervalOracle(FeasibilityOracle):
         domain = result.domain if result.feasible else None
         if extra_var is None:
             self._domain_cache = domain
-            if self.cache is not None:
-                # Wrapped in a tuple so a legitimately-infeasible None is
-                # distinguishable from a cache miss.
-                self.cache.store(self._cache_key("dom"), (domain,))
+            # Wrapped in a tuple so a legitimately-infeasible None is
+            # distinguishable from a cache miss.
+            self.cache.store(self._cache_key("dom"), (domain,))
         return domain
 
     def feasible_set(self, variable: str) -> FeasibleSet:
@@ -1056,17 +970,14 @@ class IntervalOracle(FeasibilityOracle):
 
     def confirm(self, variable: str, value: int) -> bool:
         self._count_query()
-        key = None
-        if self.cache is not None:
-            key = self._cache_key("confirm", variable, int(value))
-            hit = self.cache.lookup(key)
-            if hit is not None:
-                return hit == SAT
+        key = self._cache_key("confirm", variable, int(value))
+        hit = self.cache.lookup(key)
+        if hit is not None:
+            return hit == SAT
         verdict = self._propagate(variable, value) is not None
-        if key is not None:
-            # Propagation is deterministic and budget-free here, so both
-            # verdicts are definite and safe to cache.
-            self.cache.store(key, SAT if verdict else UNSAT)
+        # Propagation is deterministic and budget-free here, so both
+        # verdicts are definite and safe to cache.
+        self.cache.store(key, SAT if verdict else UNSAT)
         return verdict
 
     def fix(self, variable: str, value: int) -> None:
@@ -1100,9 +1011,8 @@ class IntervalOracle(FeasibilityOracle):
         record stored under its final state key (``istate`` + the derived
         propagated domain), so no later session -- on this lane or any
         other -- can adopt state a poisoned record computed."""
-        if self.cache is not None:
-            self.cache.evict(self._cache_key("istate"))
-            self.cache.evict(self._cache_key("dom"))
+        self.cache.evict(self._cache_key("istate"))
+        self.cache.evict(self._cache_key("dom"))
         super().discard_record_state()
         self._refuted = False
         self._set_state(dict(self.bounds), [], [])
@@ -1117,32 +1027,15 @@ class HybridOracle(FeasibilityOracle):
         bounds: Bounds,
         meter: Optional[BudgetMeter] = None,
         cache: Optional[OracleCache] = None,
-        pool_reuse: int = 0,
         mask_stats: Optional[MaskLookupStats] = None,
     ):
-        super().__init__(
-            rules,
-            bounds,
-            meter,
-            cache=cache,
-            pool_reuse=pool_reuse,
-            mask_stats=mask_stats,
-        )
+        super().__init__(rules, bounds, meter, cache=cache, mask_stats=mask_stats)
+        # The sub-oracles share the (possibly private) cache built above.
         self.interval = IntervalOracle(
-            rules,
-            bounds,
-            meter,
-            cache=cache,
-            pool_reuse=pool_reuse,
-            mask_stats=mask_stats,
+            rules, bounds, meter, cache=self.cache, mask_stats=mask_stats
         )
         self.smt = SmtOracle(
-            rules,
-            bounds,
-            meter,
-            cache=cache,
-            pool_reuse=pool_reuse,
-            mask_stats=mask_stats,
+            rules, bounds, meter, cache=self.cache, mask_stats=mask_stats
         )
 
     def begin_record(self, fixed: Optional[Mapping[str, int]] = None) -> None:

@@ -138,14 +138,6 @@ class EnforcerConfig:
     # Strict mode: raise DegradedResult instead of returning a record that
     # only exists via a degraded ladder stage.
     raise_on_degraded: bool = False
-    # Keep one solver per oracle across this many consecutive records
-    # (reset via push/pop) instead of rebuilding per record; 0 disables
-    # pooling (the legacy behavior).
-    solver_pool: int = 0
-    # Share feasible sets / interval states / confirm verdicts across
-    # records and concurrent sessions through an OracleCache of this many
-    # entries; 0 disables caching (the legacy behavior).
-    oracle_cache_entries: int = 0
 
     def __post_init__(self) -> None:
         if self.oracle not in ("hybrid", "smt", "interval"):
@@ -216,8 +208,8 @@ class EnforcementTrace:
 
     def comparable_counters(self) -> Dict[str, object]:
         """The deterministic counters (everything except timing and the
-        solver's internal work totals, which legitimately vary with solver
-        pooling and batching)."""
+        solver's internal work totals, which legitimately vary with the
+        oracle cache's history)."""
         return {
             "records": self.records,
             "sample": (
@@ -282,22 +274,19 @@ class Lane:
     lane in place when a record resolved a different pack -- rebuilding
     the tiers but *keeping the meter* (cumulative solver-work accounting
     survives rebinds) and the shared cache (whose content-hash partitions
-    make cross-pack reuse safe by construction).  ``cache``/``pool_reuse``
-    remember the build parameters so a rebind reproduces them.
+    make cross-pack reuse safe by construction).
     """
 
     tiers: List[Tuple[RuleSet, FeasibilityOracle]]
     interval_tiers: List[Tuple[RuleSet, FeasibilityOracle]]
     meter: BudgetMeter
     handle: Optional[object] = None  # RuleSetHandle (untyped: no core dep)
-    cache: Optional[object] = None  # OracleCache used to build the tiers
-    pool_reuse: Optional[int] = None
 
     def reset(self) -> None:
         """Quarantine-reset after a session died mid-record on this lane.
 
-        Every oracle tier discards its per-record state (pooled solver
-        frames, refold snapshots, and the shared-cache ``istate``/``dom``
+        Every oracle tier discards its per-record state (solver frames,
+        refold snapshots, and the shared-cache ``istate``/``dom``
         entries stored under the dying record's state key), so the next
         admitted record rebuilds from the rules instead of adopting state a
         poisoned session left behind.  ``LanePool.retire`` pairs this with
@@ -966,9 +955,8 @@ class EnforcementSession:
         # exact oracle's interval minimum is *attained* by some model, so
         # it can never have been refuted out of ``feasible`` and fixing it
         # keeps the record satisfiable.  Unlike a solver model -- whose
-        # value depends on clause-database history, e.g. the lemmas a
-        # pooled solver retains from earlier records -- it is a pure
-        # function of verdicts, so identical on pooled and fresh lanes.
+        # value depends on clause-database history, e.g. which queries the
+        # oracle cache answered -- it is a pure function of verdicts.
         # Forced values land in emitted bytes; they must not see solver
         # search state.
         if not feasible.is_empty():

@@ -139,7 +139,7 @@ def _run_one(
         "failed": len(arrivals) - completed - rejected - expired,
         "throughput_rps": round(completed / makespan, 2) if makespan else 0.0,
         "lane_occupancy": metrics["lm"]["lane_occupancy"],
-        "cache_hit_rate": (metrics["oracle_cache"] or {}).get("hit_rate"),
+        "cache_hit_rate": metrics["oracle_cache"]["hit_rate"],
     }
     if latencies:
         entry.update(

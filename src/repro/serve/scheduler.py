@@ -169,16 +169,15 @@ def _serve_samples(scheduler: "ContinuousBatchingScheduler") -> List[Sample]:
             help="Deterministic solver work across the lane pool",
         ))
     cache = scheduler.pool.cache_stats()
-    if cache is not None:
-        for key in ("hits", "misses", "evictions"):
-            samples.append(Sample.counter(
-                f"repro_serve_oracle_cache_{key}_total", cache[key],
-                help=f"Shared oracle cache {key}",
-            ))
-        samples.append(Sample.gauge(
-            "repro_serve_oracle_cache_entries", cache["entries"],
-            help="Shared oracle cache resident entries",
+    for key in ("hits", "misses", "evictions"):
+        samples.append(Sample.counter(
+            f"repro_serve_oracle_cache_{key}_total", cache[key],
+            help=f"Shared oracle cache {key}",
         ))
+    samples.append(Sample.gauge(
+        "repro_serve_oracle_cache_entries", cache["entries"],
+        help="Shared oracle cache resident entries",
+    ))
     return samples
 
 
@@ -199,8 +198,6 @@ class ContinuousBatchingScheduler:
         lanes: int = 4,
         queue_depth: int = 64,
         admit_policy: str = "continuous",
-        solver_pool: Optional[int] = 64,
-        cache_entries: Optional[int] = None,
         latency_window: int = 4096,
         idle_wait: float = 0.02,
         registry: Optional[MetricsRegistry] = None,
@@ -217,9 +214,7 @@ class ContinuousBatchingScheduler:
         self.enforcer = enforcer
         self.lanes = lanes
         self.admit_policy = admit_policy
-        self.pool = LanePool(
-            enforcer, lanes, solver_pool=solver_pool, cache_entries=cache_entries
-        )
+        self.pool = LanePool(enforcer, lanes)
         self.queue = AdmissionQueue(
             queue_depth,
             tenant_quotas=tenant_quotas,
@@ -446,9 +441,7 @@ class ContinuousBatchingScheduler:
             event = self._rule_events.popleft()
             if event.get("event") != "retire":
                 continue
-            cache = self.pool.cache
-            if cache is not None:
-                cache.evict_partition(event["hash"])
+            self.pool.cache.evict_partition(event["hash"])
 
     def _admit(self) -> None:
         """Place queued work into free lanes (mid-flight by default)."""
@@ -686,8 +679,7 @@ class ContinuousBatchingScheduler:
             ("lane_occupancy", m["lm"]["lane_occupancy"]),
         ]
         cache = m["oracle_cache"]
-        if cache is not None:
-            pairs.append(("oracle_cache_hit_rate", cache["hit_rate"]))
-            pairs.append(("oracle_cache_evictions", cache["evictions"]))
+        pairs.append(("oracle_cache_hit_rate", cache["hit_rate"]))
+        pairs.append(("oracle_cache_evictions", cache["evictions"]))
         pairs.extend(self.slo.summary_pairs())
         return format_kv(pairs)

@@ -9,7 +9,7 @@ the serving layer across a process boundary:
   -- the admission queue, request handles, deadlines, retry bookkeeping,
   and aggregated metrics;
 * each **worker process** (:mod:`repro.serve.workers`) owns everything
-  expensive and corruptible -- lanes, LM weights, KV cache, solver pool,
+  expensive and corruptible -- lanes, LM weights, KV cache, solvers,
   oracle cache -- and runs an in-process continuous-batching scheduler.
 
 Supervision, all on one supervisor thread (no locks around routing state):
@@ -271,8 +271,6 @@ class WorkerPool:
         breaker_window: float = 10.0,
         breaker_cooldown: float = 2.0,
         max_inflight_per_worker: Optional[int] = None,
-        solver_pool: Optional[int] = 64,
-        cache_entries: Optional[int] = None,
         latency_window: int = 4096,
         start_method: Optional[str] = None,
         slow_start_s: float = 0.0,
@@ -308,8 +306,6 @@ class WorkerPool:
             if max_inflight_per_worker is not None
             else lanes_per_worker * 2
         )
-        self.solver_pool = solver_pool
-        self.cache_entries = cache_entries
         self.slow_start_s = slow_start_s
         if start_method is None:
             available = multiprocessing.get_all_start_methods()
@@ -595,8 +591,6 @@ class WorkerPool:
             enforcer_factory=self.enforcer_factory,
             lanes=self.lanes_per_worker,
             queue_depth=max(self.max_inflight_per_worker * 2, 8),
-            solver_pool=self.solver_pool,
-            cache_entries=self.cache_entries,
             heartbeat_interval=self.heartbeat_interval,
             slow_start_s=self.slow_start_s,
             # A fresh snapshot per (re)spawn: restarted workers come back

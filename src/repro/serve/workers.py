@@ -1,7 +1,7 @@
 """Worker-process side of the supervised serving pool.
 
 A worker is an ordinary OS process that owns everything stateful about
-enforcement -- its lanes, LM weights, KV cache, solver pool, and oracle
+enforcement -- its lanes, LM weights, KV cache, solvers, and oracle
 cache -- and talks to the parent router over a single duplex pipe.  The
 parent (:class:`~repro.serve.supervisor.WorkerPool`) keeps only routing
 state, so a worker crash loses at most the records in flight *on that
@@ -77,8 +77,6 @@ class WorkerConfig:
     enforcer_factory: Callable[[], JitEnforcer]
     lanes: int = 2
     queue_depth: int = 64
-    solver_pool: Optional[int] = 64
-    cache_entries: Optional[int] = None
     heartbeat_interval: float = 0.1
     # Chaos knob: sleep this long before building the enforcer, so tests
     # can exercise the supervisor's startup timeout (slow-start fault).
@@ -186,8 +184,6 @@ def worker_main(conn, config: WorkerConfig) -> None:
             enforcer,
             lanes=config.lanes,
             queue_depth=config.queue_depth,
-            solver_pool=config.solver_pool,
-            cache_entries=config.cache_entries,
             registry=registry,
             rule_registry=rule_registry,
             **config.scheduler_kwargs,

@@ -13,7 +13,7 @@ bounds-propagation fast path used by the enforcer before full solver calls.
 """
 
 from .budget import RESOURCES, BudgetMeter, SolverBudget
-from .intervals import Interval, IntervalDomain, PropagationResult, propagate
+from .intervals import Interval, IntervalDomain, PropagationResult
 from .lincon import LinCon, constraint_from_atom
 from .lia import LiaLimitError, LiaResult, check_lia
 from .sat import SatResult, SatSolver
@@ -58,7 +58,6 @@ __all__ = [
     "check_lia",
     "LiaResult",
     "LiaLimitError",
-    "propagate",
     "Interval",
     "IntervalDomain",
     "PropagationResult",

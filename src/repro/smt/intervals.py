@@ -23,7 +23,6 @@ __all__ = [
     "IntervalDomain",
     "PreparedSystem",
     "PropagationResult",
-    "propagate",
 ]
 
 _WIDEN_LIMIT = 10_000  # iterations before declaring non-convergence
@@ -128,7 +127,10 @@ class PreparedSystem:
     lets a caller build this once per constraint state and reuse it for
     every query against that state -- with different initial domains and
     a few per-query ``extra`` constraints -- and get exactly what a
-    from-scratch :func:`propagate` would.
+    from-scratch run would.
+
+    Equalities propagate in both directions; disequalities only fire when
+    the rest of the constraint is pinned to a single value.
     """
 
     __slots__ = ("active", "watch", "variables", "refuted")
@@ -184,18 +186,6 @@ class PreparedSystem:
                         queue.append(dependent)
                         queued.add(id(dependent))
         return PropagationResult(True, domain)
-
-
-def propagate(
-    constraints: Iterable[LinCon],
-    initial: Optional[Mapping[str, Interval]] = None,
-) -> PropagationResult:
-    """Run bounds propagation to fixpoint (see :class:`PreparedSystem`).
-
-    Equalities propagate in both directions; disequalities only fire when
-    the rest of the constraint is pinned to a single value.
-    """
-    return PreparedSystem(constraints).run(initial)
 
 
 def _propagate_one(con: LinCon, domain: IntervalDomain) -> Optional[List[str]]:

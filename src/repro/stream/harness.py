@@ -34,7 +34,7 @@ def _build_enforcer(dataset, model, rules, seed: int) -> JitEnforcer:
         model,
         rules,
         dataset.config,
-        EnforcerConfig(seed=seed, oracle_cache_entries=4096),
+        EnforcerConfig(seed=seed),
         fallback_rules=[domain_bound_rules(dataset.config)],
         bounds=stream_bounds(dataset.config),
     )

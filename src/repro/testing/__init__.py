@@ -12,10 +12,12 @@ from .faults import (
     FaultyOracle,
     FlakyStreamSource,
     FullForwardLM,
+    NullOracleCache,
     StallingOracle,
     kill_worker,
     resume_worker,
     stall_worker,
+    uncached_oracle,
     wait_for_sentinel_pid,
 )
 
@@ -27,6 +29,8 @@ __all__ = [
     "FaultyOracle",
     "CrashingLM",
     "FullForwardLM",
+    "NullOracleCache",
+    "uncached_oracle",
     "StallingOracle",
     "FlakyStreamSource",
     "wait_for_sentinel_pid",

@@ -22,6 +22,9 @@ exercise that claim:
 * :class:`FullForwardLM` hides a model's KV-cache support, so every driver
   re-encodes the whole prefix each step -- the parity oracle incremental
   decoding is checked against;
+* :func:`uncached_oracle` swaps an oracle's cache for a
+  :class:`NullOracleCache`, so every answer is computed afresh -- the
+  parity oracle the shared oracle cache is checked against;
 * the process-level helpers (:func:`kill_worker`, :func:`stall_worker`,
   :func:`resume_worker`) inject worker-pool faults -- crash, scheduler
   stall, slow start -- for the supervisor chaos harness
@@ -48,7 +51,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..core.feasible import FeasibilityOracle
+from ..core.feasible import FeasibilityOracle, OracleCache
 from ..core.transition import FeasibleSet
 from ..errors import InjectedFault, SolverBudgetExceeded
 from ..lm.base import LanguageModel
@@ -62,6 +65,8 @@ __all__ = [
     "FaultyOracle",
     "CrashingLM",
     "FullForwardLM",
+    "NullOracleCache",
+    "uncached_oracle",
     "StallingOracle",
     "FlakyStreamSource",
     "wait_for_sentinel_pid",
@@ -237,6 +242,31 @@ class FullForwardLM:
         if name in ("supports_kv_cache", "new_kv_cache"):
             raise AttributeError(name)
         return getattr(self._model, name)
+
+
+class NullOracleCache(OracleCache):
+    """An :class:`~repro.core.feasible.OracleCache` that keeps nothing:
+    stores are dropped, so every lookup misses."""
+
+    def store(self, key, value) -> None:
+        pass
+
+
+def uncached_oracle(oracle: FeasibilityOracle) -> FeasibilityOracle:
+    """An ``oracle_wrapper`` that gives ``oracle`` (and a hybrid oracle's
+    two sub-oracles) a :class:`NullOracleCache`.
+
+    ``JitEnforcer(..., oracle_wrapper=uncached_oracle)`` then answers every
+    query with a fresh solver or propagation run, never with another
+    query's work; under an unlimited budget its records must be
+    byte-identical to the cached path's at the same seed.
+    """
+    null = NullOracleCache()
+    for part in (oracle, getattr(oracle, "interval", None),
+                 getattr(oracle, "smt", None)):
+        if part is not None:
+            part.cache = null
+    return oracle
 
 
 class StallingOracle(FeasibilityOracle):

@@ -180,12 +180,11 @@ class TestEdgeCases:
 class TestForcedValueDeterminism:
     """Forced values must be a pure function of verdicts, not solver state.
 
-    The streaming byte contract (serial CLI lanes vs pooled serving lanes)
-    broke when the forced fallback took ``oracle.any_model()`` values: a
-    pooled solver's retained lemmas steer which model the SAT core finds,
-    so the same record forced different bytes depending on lane placement.
-    ``_forced_value`` now pins the canonical feasible minimum and never
-    consults the oracle at all -- passing ``oracle=None`` proves it.
+    Which model ``oracle.any_model()`` returns depends on solver search
+    state -- e.g. which queries the oracle cache answered -- so forcing
+    from it would tie a record's bytes to cache history and lane
+    placement.  ``_forced_value`` pins the canonical feasible minimum and
+    never consults the oracle at all -- passing ``oracle=None`` proves it.
     """
 
     def test_forced_value_is_the_feasible_minimum(self):

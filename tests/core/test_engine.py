@@ -2,10 +2,11 @@
 
 The engine's contract is that batching is *invisible* in the output: for
 the same seed and submission order, every record is byte-identical at any
-batch size -- including batch 1 versus the legacy synchronous driver --
-and the deterministic trace counters agree exactly.  The speedup comes
-only from shared/amortized work (batched LM calls, the cross-lane oracle
-cache, pooled solvers), never from changed behavior.
+batch size -- including batch 1 versus the synchronous driver, and versus
+an uncached reference enforcer when the solver budget is unlimited -- and
+the deterministic trace counters agree exactly.  The speedup comes only
+from shared work (batched LM calls, the cross-lane oracle cache), never
+from changed behavior.
 """
 
 import numpy as np
@@ -18,10 +19,24 @@ from repro.core import (
     OracleCache,
 )
 from repro.core.feasible import HybridOracle, IntervalOracle, SmtOracle
-from repro.data import TelemetryConfig, build_dataset, variable_bounds
+from repro.data import (
+    TelemetryConfig,
+    build_dataset,
+    fine_field,
+    variable_bounds,
+    window_variables,
+)
 from repro.errors import InfeasibleRecord
 from repro.lm import NgramLM
-from repro.rules import domain_bound_rules, paper_rules
+from repro.rules import (
+    MinerOptions,
+    domain_bound_rules,
+    mine_rules,
+    paper_rules,
+    zoom2net_manual_rules,
+)
+from repro.smt import SolverBudget
+from repro.testing import uncached_oracle
 
 
 @pytest.fixture(scope="module")
@@ -33,24 +48,41 @@ def setting():
     return dataset, model, paper_rules(dataset.config)
 
 
-def _enforcer(dataset, model, rules, seed=13):
+def _enforcer(dataset, model, rules, seed=13, oracle_wrapper=None):
     return JitEnforcer(
         model,
         rules,
         dataset.config,
         EnforcerConfig(seed=seed),
         fallback_rules=[domain_bound_rules(dataset.config)],
+        oracle_wrapper=oracle_wrapper,
     )
 
 
+@pytest.fixture(scope="module")
+def mined_setting():
+    """A small mined imputation pack (~490 rules), as in test_enforcer."""
+    dataset = build_dataset(
+        num_train_racks=6, num_test_racks=2, windows_per_rack=60, seed=2
+    )
+    model = NgramLM(order=6).fit(dataset.train_texts())
+    mined = mine_rules(
+        [w.variables() for w in dataset.train_windows()],
+        list(window_variables(dataset.config.window)),
+        MinerOptions(slack=2),
+        fine_variables=[fine_field(t) for t in range(dataset.config.window)],
+    )
+    return dataset, model, mined
+
+
 class TestDeterminismParity:
-    """ISSUE acceptance: byte-identical records at every batch size."""
+    """Byte-identical records at every batch size."""
 
     def test_impute_parity_across_batch_sizes(self, setting):
         dataset, model, rules = setting
         coarse = [w.coarse() for w in dataset.test_windows()[:12]]
 
-        legacy = _enforcer(dataset, model, rules)
+        legacy = _enforcer(dataset, model, rules, oracle_wrapper=uncached_oracle)
         reference = [legacy.impute_record(c) for c in coarse]
 
         for batch_size in (1, 4, 16):
@@ -70,7 +102,7 @@ class TestDeterminismParity:
         dataset, model, rules = setting
         count = 10
 
-        legacy = _enforcer(dataset, model, rules)
+        legacy = _enforcer(dataset, model, rules, oracle_wrapper=uncached_oracle)
         reference = [legacy.synthesize_record() for _ in range(count)]
 
         for batch_size in (1, 4, 16):
@@ -84,6 +116,47 @@ class TestDeterminismParity:
                 enforcer.trace.comparable_counters()
                 == legacy.trace.comparable_counters()
             )
+
+    @pytest.mark.parametrize("oracle", ["hybrid", "smt"])
+    def test_budgeted_records_are_batch_invariant(self, mined_setting, oracle):
+        """Under a budget tight enough to exhaust, neither batch size nor
+        lane placement may move a record: every record opens a fresh
+        solver over the enforcer's one cache, as the serial path does."""
+        dataset, model, mined = mined_setting
+        windows = dataset.test_windows()
+        # Two cheap prompts whose records exhaust the budget (one falls to
+        # interval-audit); at batch 1 both run on one lane.
+        coarse = [windows[2].coarse(), windows[18].coarse()]
+        config = EnforcerConfig(
+            seed=13,
+            oracle=oracle,
+            optimistic=False,
+            budget=SolverBudget(
+                max_conflicts=3, max_pivots=40, max_theory_rounds=4
+            ),
+        )
+
+        def enforcer():
+            return JitEnforcer(
+                model,
+                mined,
+                dataset.config,
+                config,
+                fallback_rules=[zoom2net_manual_rules(dataset.config),
+                                domain_bound_rules(dataset.config)],
+            )
+
+        serial = enforcer()
+        reference = [serial.impute_record(c) for c in coarse]
+        assert serial.trace.budget_exhaustions > 0
+        assert "interval-audit" in {r.stage for r in reference}
+        for batch_size in (1, 4, 8):
+            outcomes = EnforcementEngine(enforcer(), batch_size).impute_many(
+                coarse
+            )
+            assert [(o.values, o.stage) for o in outcomes] == [
+                (r.values, r.stage) for r in reference
+            ], f"budgeted records moved at batch_size={batch_size}"
 
     def test_no_solver_forcing_on_clean_runs(self, setting):
         """Parity runs stay on the happy path: no forced values, no budget."""
@@ -167,7 +240,7 @@ class TestEngineIsolation:
 
 
 class TestOracleCacheSoundness:
-    """Cached/pooled oracles must answer exactly like fresh ones."""
+    """Cached oracles must answer exactly like uncached ones."""
 
     def _records(self, dataset, count=6):
         return [w.coarse() for w in dataset.test_windows()[:count]]
@@ -177,12 +250,12 @@ class TestOracleCacheSoundness:
         dataset, _, rules = setting
         bounds = variable_bounds(dataset.config)
         cache = OracleCache(4096)
-        shared = oracle_cls(rules, bounds, cache=cache, pool_reuse=16)
+        shared = oracle_cls(rules, bounds, cache=cache)
         window = dataset.config.window
         # Two passes over the same prompts: the second replays every state
         # key from the cache while the fresh oracle recomputes from scratch.
         for prompt in self._records(dataset) * 2:
-            fresh = oracle_cls(rules, bounds)
+            fresh = uncached_oracle(oracle_cls(rules, bounds))
             shared.begin_record(prompt)
             fresh.begin_record(prompt)
             for t in range(window):

@@ -503,8 +503,6 @@ class TestPoisonedLaneQuarantine:
             assert oracle._state_key == ((), ())
             if hasattr(oracle, "_solver"):  # SmtOracle
                 assert oracle._solver is None
-                assert oracle._open_levels == 0
-                assert oracle._base_ok is False
             for sub in ("interval", "smt"):
                 inner = getattr(oracle, sub, None)
                 if inner is not None and hasattr(inner, "fixed"):

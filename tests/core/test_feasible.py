@@ -40,7 +40,7 @@ from repro.smt import (
     Or,
 )
 from repro.smt import intervals
-from repro.smt.intervals import Interval, propagate
+from repro.smt.intervals import Interval, PreparedSystem
 from repro.smt.simplify import simplify, to_nnf
 
 
@@ -373,7 +373,7 @@ class ReferenceIntervalOracle:
                 if reduced == FALSE:
                     return None
                 _collect_lincons(reduced, constraints)
-        result = propagate(constraints, initial)
+        result = PreparedSystem(constraints).run(initial)
         return result.domain if result.feasible else None
 
     def feasible_set(self, variable):

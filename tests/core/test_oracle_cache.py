@@ -8,8 +8,7 @@ had before eviction (entries are pure functions of their state key).
 
 import pytest
 
-from repro.core import EnforcerConfig, JitEnforcer, OracleCache
-from repro.core.engine import LanePool
+from repro.core import OracleCache
 from repro.core.feasible import SmtOracle
 from repro.data import build_dataset, variable_bounds
 from repro.lm import NgramLM
@@ -79,8 +78,6 @@ class TestFifoEviction:
                 },
             },
         }
-        # Pre-serving callers used snapshot(); it must stay an alias.
-        assert cache.snapshot() == stats
 
     def test_default_capacity_constant(self):
         assert OracleCache().max_entries == OracleCache.DEFAULT_ENTRIES
@@ -189,19 +186,3 @@ class TestEvictionSoundness:
                 fresh.fix(name, value)
         assert tiny.evictions > 0  # the pressure was real
         assert len(tiny) <= 4
-
-    def test_lane_pool_capacity_is_configurable(self, setting):
-        dataset, model, rules = setting
-        enforcer = JitEnforcer(
-            model,
-            rules,
-            dataset.config,
-            EnforcerConfig(seed=3),
-            fallback_rules=[domain_bound_rules(dataset.config)],
-        )
-        pool = LanePool(enforcer, 2, cache_entries=16)
-        assert pool.cache.max_entries == 16
-        assert LanePool(enforcer, 2).cache.max_entries == (
-            OracleCache.DEFAULT_ENTRIES
-        )
-        assert LanePool(enforcer, 2, cache_entries=0).cache is None

@@ -20,6 +20,7 @@ from repro.obs import OBS, ManualClock, SpanTracer
 from repro.rules import domain_bound_rules, paper_rules
 from repro.smt import SolverBudget
 from repro.stream import EnforcerExecutor
+from repro.testing import uncached_oracle
 
 
 @pytest.fixture(scope="module")
@@ -31,13 +32,14 @@ def setting():
     return dataset, model, paper_rules(dataset.config)
 
 
-def _enforcer(dataset, model, rules, seed=13, budget=None):
+def _enforcer(dataset, model, rules, seed=13, budget=None, oracle_wrapper=None):
     return JitEnforcer(
         model,
         rules,
         dataset.config,
         EnforcerConfig(seed=seed, budget=budget),
         fallback_rules=[domain_bound_rules(dataset.config)],
+        oracle_wrapper=oracle_wrapper,
     )
 
 
@@ -120,7 +122,8 @@ class TestTracingIsInvisible:
         dataset, model, rules = setting
         coarse = [w.coarse() for w in dataset.test_windows()[:6]]
 
-        plain = _enforcer(dataset, model, rules)
+        # The uncached reference: neither tracing nor the cache may show.
+        plain = _enforcer(dataset, model, rules, oracle_wrapper=uncached_oracle)
         reference = [plain.impute_record(c) for c in coarse]
 
         OBS.enable(SpanTracer())

@@ -565,7 +565,7 @@ class TestStreamKvRewind:
     def _make_executor(self, dataset, rules, model):
         enforcer = JitEnforcer(
             model, rules, dataset.config,
-            EnforcerConfig(seed=13, oracle_cache_entries=4096),
+            EnforcerConfig(seed=13),
             fallback_rules=[domain_bound_rules(dataset.config)],
             bounds=stream_bounds(dataset.config),
         )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from reference_propagation import reference_propagate_one
 
 from repro.smt import intervals
-from repro.smt.intervals import Interval, PreparedSystem, propagate
+from repro.smt.intervals import Interval, PreparedSystem
 from repro.smt.lincon import LinCon
 
 VARS = ["x", "y", "z"]
@@ -50,7 +50,7 @@ class TestInterval:
 
 class TestPropagation:
     def test_simple_bound(self):
-        result = propagate([LinCon.make({"x": 1}, -5, "<=")])
+        result = PreparedSystem([LinCon.make({"x": 1}, -5, "<=")]).run()
         assert result.feasible
         assert result.domain["x"].upper == 5
 
@@ -61,7 +61,7 @@ class TestPropagation:
             LinCon.make({"x": 1}, -4, "<="),
             LinCon.make({"x": -1}, 0, "<="),
         ]
-        result = propagate(cons)
+        result = PreparedSystem(cons).run()
         assert result.feasible
         assert result.domain["y"].lower == 6
         assert result.domain["y"].upper == 10
@@ -71,7 +71,7 @@ class TestPropagation:
             LinCon.make({"x": 1}, -2, "<="),
             LinCon.make({"x": -1}, 3, "<="),  # x >= 3
         ]
-        assert not propagate(cons).feasible
+        assert not PreparedSystem(cons).run().feasible
 
     def test_coefficient_division_rounds_correctly(self):
         # 3x <= 10  =>  x <= 3;  -2x <= -5  =>  x >= 3 (ceil 2.5).
@@ -79,7 +79,7 @@ class TestPropagation:
             LinCon.make({"x": 3}, -10, "<="),
             LinCon.make({"x": -2}, 5, "<="),
         ]
-        result = propagate(cons)
+        result = PreparedSystem(cons).run()
         assert result.feasible
         assert result.domain["x"].lower == 3
         assert result.domain["x"].upper == 3
@@ -91,7 +91,7 @@ class TestPropagation:
             LinCon.make({"y": 1, "z": -1}, -1, "=="),
             LinCon.make({"z": 1}, -5, "=="),
         ]
-        result = propagate(cons)
+        result = PreparedSystem(cons).run()
         assert result.domain["x"].lower == result.domain["x"].upper == 7
 
     def test_disequality_shaves_endpoint(self):
@@ -100,7 +100,7 @@ class TestPropagation:
             LinCon.make({"x": -1}, 0, "<="),
             LinCon.make({"x": 1}, 0, "!="),  # x != 0
         ]
-        result = propagate(cons)
+        result = PreparedSystem(cons).run()
         assert result.domain["x"].lower == 1
 
     def test_disequality_refutes_pinned(self):
@@ -108,18 +108,17 @@ class TestPropagation:
             LinCon.make({"x": 1}, -3, "=="),
             LinCon.make({"x": 1}, -3, "!="),
         ]
-        assert not propagate(cons).feasible
+        assert not PreparedSystem(cons).run().feasible
 
     def test_initial_domain_respected(self):
-        result = propagate(
-            [LinCon.make({"x": 1}, -100, "<=")],
-            initial={"x": Interval(2, 7)},
+        result = PreparedSystem([LinCon.make({"x": 1}, -100, "<=")]).run(
+            {"x": Interval(2, 7)}
         )
         assert result.domain["x"].lower == 2
         assert result.domain["x"].upper == 7
 
     def test_ground_false_constraint(self):
-        assert not propagate([LinCon.make({}, 1, "<=")]).feasible
+        assert not PreparedSystem([LinCon.make({}, 1, "<=")]).run().feasible
 
     def test_iteration_cap_is_reported(self):
         # x <= 10, x <= y - 1, y <= x - 1: each pass lowers both upper
@@ -129,10 +128,10 @@ class TestPropagation:
             LinCon.make({"x": 1, "y": -1}, 1, "<="),
             LinCon.make({"y": 1, "x": -1}, 1, "<="),
         ]
-        result = propagate(cons)
+        result = PreparedSystem(cons).run()
         assert not result.converged
         assert result.feasible  # the capped domain is sound, not refuted
-        assert propagate(cons[:2]).converged
+        assert PreparedSystem(cons[:2]).run().converged
 
 
 con_strategy = st.builds(
@@ -147,7 +146,7 @@ con_strategy = st.builds(
 @settings(max_examples=120, deadline=None)
 def test_soundness_no_solution_pruned(random_cons):
     cons = bounded() + random_cons
-    result = propagate(cons)
+    result = PreparedSystem(cons).run()
     solutions = []
     for values in itertools.product(range(-6, 7), repeat=len(VARS)):
         assignment = dict(zip(VARS, values))
@@ -174,10 +173,10 @@ def test_converged_result_is_order_independent(random_cons, extra, box, rnd):
     same under any visiting order and whether the system was prepared
     once (with per-run extras) or propagated from scratch."""
     cons = (bounded() if box else []) + random_cons
-    plain = propagate(cons + extra)
+    plain = PreparedSystem(cons + extra).run()
     shuffled = cons + extra
     rnd.shuffle(shuffled)
-    runs = [propagate(shuffled), PreparedSystem(cons).run(None, extra)]
+    runs = [PreparedSystem(shuffled).run(), PreparedSystem(cons).run(None, extra)]
     assume(plain.converged and all(run.converged for run in runs))
     for run in runs:
         assert run.feasible == plain.feasible

@@ -181,6 +181,34 @@ class TestStreamCli:
         _, pairs = parse_kv(summary)
         assert pairs["trace"] == expected
 
+    def test_enforce_evicts_oracle_cache_per_window(
+        self, stream_workspace, capsys, monkeypatch
+    ):
+        # Every enforcer has an oracle cache, so each window roll of the
+        # serial executor drops that window's memoized partitions.
+        import repro.stream
+
+        executors = []
+
+        class RecordingExecutor(repro.stream.EnforcerExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                executors.append(self)
+
+        monkeypatch.setattr(repro.stream, "EnforcerExecutor", RecordingExecutor)
+        root, _, model, rules = stream_workspace
+        events = root / "evict_events.jsonl"
+        assert main(["stream", "--generate", "6", "--stream-seed", "4"]) == 0
+        events.write_text(capsys.readouterr().out)
+        assert main([
+            "stream", "--model", str(model), "--rules", str(rules),
+            "--input", str(events), "--window", "2", "--seed", "3",
+        ]) == 0
+        capsys.readouterr()
+        (executor,) = executors
+        assert executor.records == 6
+        assert executor.cache_evictions > 0
+
     def test_enforce_requires_model_and_rules(self):
         with pytest.raises(SystemExit):
             main(["stream", "--input", "-"])
@@ -256,6 +284,24 @@ class TestObservabilityCli:
             events[event] = pairs
         assert events["degradation"]["records"] == "1"
         assert "records_per_sec" in events["throughput"]
+
+    def test_serial_impute_reports_oracle_cache_hit_rate(
+        self, workspace, capsys
+    ):
+        # The serial path (no --batch-size) caches oracle answers too.
+        from repro.obs import parse_kv
+
+        _, _, model, rules = workspace
+        assert main([
+            "impute", "--model", str(model), "--rules", str(rules),
+            "--total", "50", "--cong", "0", "--retx", "0", "--egr", "50",
+        ]) == 0
+        throughput = next(
+            parse_kv(line)[1]
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("throughput")
+        )
+        assert 0.0 <= float(throughput["oracle_cache_hit_rate"]) <= 1.0
 
     def test_obs_report_merges_and_reports(self, tmp_path, capsys):
         from repro.obs import ManualClock, SpanTracer, load_trace
