@@ -38,7 +38,7 @@ from ..data.telemetry import COARSE_FIELDS, TelemetryConfig, fine_field
 from ..lm.base import LanguageModel
 from ..obs import OBS, Sample
 from ..rules.dsl import RuleSet
-from ..rules.io import rules_fingerprint
+from ..rules.audit import compliance_check
 from ..rules.registry import RuleSetHandle
 from ..smt import BudgetMeter
 from .engine import LanePool
@@ -250,7 +250,6 @@ class JitEnforcer:
         self.meter = self._lane.meter
         self._rng_entropy = self.config.seed
         self._record_counter = 0
-        self._audit_cache: Dict[Tuple, RuleSet] = {}
         self.trace = EnforcementTrace()
         self.last_outcome: Optional[RecordOutcome] = None
         # Scrape-time metrics: weakly owned, so transient enforcers (tests,
@@ -475,20 +474,15 @@ class JitEnforcer:
             self.trace.wall_time += OBS.clock.now() - start_time
             self.trace.solver_work = self.meter.snapshot()
 
-    def _auditable(self, rules: RuleSet, values: Mapping[str, int]) -> RuleSet:
-        """Rules whose variables are all assigned in ``values``.
+    def _compliant(self, rules: RuleSet, values: Mapping[str, int]) -> bool:
+        """The exact audit: every rule whose variables ``values`` all
+        assigns holds.
 
         Rules referencing variables outside the record (e.g. ``prev_*``
         context absent on the first window of a sequence) are not binding
-        on this record and cannot be evaluated against it.
+        on this record and cannot be evaluated against it.  The predicate
+        is generated once per rule content and variable scope
+        (:func:`~repro.rules.audit.compliance_check`), so lanes rebound
+        across tenant packs and fresh enforcers over one pack share it.
         """
-        # Keyed on the rule content's fingerprint, not id(rules): lanes
-        # rebound across tenant packs produce fresh RuleSet objects whose
-        # ids would otherwise grow the cache without bound, while packs
-        # with identical content legitimately share restrictions.
-        key = (rules_fingerprint(rules), frozenset(values))
-        cached = self._audit_cache.get(key)
-        if cached is None:
-            cached = rules.restricted_to(list(values))
-            self._audit_cache[key] = cached
-        return cached
+        return compliance_check(rules, values)(values)

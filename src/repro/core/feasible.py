@@ -23,8 +23,9 @@ Three implementations realize the solver-tier ablation of DESIGN.md:
 from __future__ import annotations
 
 import weakref
+from math import gcd
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Collection, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..errors import InfeasibleRecord, SolverBudgetExceeded
 from ..obs import OBS
@@ -45,7 +46,7 @@ from ..smt import (
     Or,
     Solver,
 )
-from ..smt.intervals import Interval, PreparedSystem
+from ..smt.intervals import TOP, Interval, PreparedSystem, PropagationResult, Warm
 from ..smt.simplify import simplify, substitute, to_nnf
 from ..smt.terms import FALSE, TRUE, BoolConst
 from .transition import FeasibleSet
@@ -231,8 +232,8 @@ def residualize(formula: Formula, fixed: Mapping[str, int]) -> Formula:
     The result is in NNF, so conjunctive information can be harvested by
     :func:`_conjuncts` and asserted compactly by the solver.  This is
     the one-formula reference form; the oracles residualize a whole pack
-    through its compiled rows instead (:func:`residualize_pack`), which
-    yields the same residuals without rebuilding every rule's tree.
+    through its compiled rows instead (:func:`fold_pack`), which yields
+    the same residuals without rebuilding every rule's tree.
     """
     return simplify(to_nnf(substitute(formula, fixed)))
 
@@ -256,14 +257,16 @@ def compiled_pack(rules: RuleSet) -> Tuple[PackEntry, ...]:
     """The rule set lowered once for repeated residualization.
 
     Each :class:`~repro.smt.Atom` rule becomes one linear row (a
-    :class:`LinCon`), which residualizes by integer substitution.  Every
-    other rule keeps its ``simplify(to_nnf(rule))`` tree plus its variable
-    set; :func:`_substitute_simplify` specializes that tree and returns
-    untouched subtrees as they are.  Rule order is kept: it is assertion
-    order, part of the determinism contract.
+    :class:`LinCon`), stored GCD-normalized, which residualizes by integer
+    substitution.  Every other rule -- and an atom that normalizes to a
+    ground row -- keeps its ``simplify(to_nnf(rule))`` tree plus its
+    variable set; :func:`_substitute_simplify` specializes that tree and
+    returns untouched subtrees as they are.  Rule order is kept: it is
+    assertion order, part of the determinism contract.
 
     Memoized like :func:`~repro.rules.io.rules_fingerprint`: a weak key,
-    and a length guard so a rule added after compiling recompiles.
+    and a length guard so a rule added after compiling recompiles.  The
+    first ``begin_record`` over a rule set compiles it.
     """
     cached = _PACKS.get(rules)
     if cached is not None and cached[0] == len(rules):
@@ -273,75 +276,215 @@ def compiled_pack(rules: RuleSet) -> Tuple[PackEntry, ...]:
         names = frozenset(formula.variables())
         if isinstance(formula, Atom):
             row = LinCon(formula.expr.items, formula.expr.const, formula.op)
-            entries.append((row, None, names))
-        else:
-            entries.append((None, simplify(to_nnf(formula)), names))
+            row = row.normalized()
+            if row is not None and row.items:
+                entries.append((row, None, names))
+                continue
+        entries.append((None, simplify(to_nnf(formula)), names))
     pack = tuple(entries)
     _PACKS[rules] = (len(rules), pack)
     return pack
 
 
-def residualize_pack(
-    pack: Tuple[PackEntry, ...], fixed: Mapping[str, int], harvest: bool
-) -> Optional[Tuple[List[LinCon], List[Disjunct]]]:
-    """Residualize every rule of ``pack`` against ``fixed``.
+class _Fold:
+    """One fold of residual rows into the interval tier's normal form.
 
-    Returns the conjunctive linear constraints and the residual
-    disjunctions, both in rule order, or None when a rule is refuted.
-    Rules that residualize to TRUE drop out.  With ``harvest`` a
-    disjunction also contributes, in its place, the rows it conjunctively
-    implies (see :func:`_conjuncts`).
+    A single-variable ``<=`` row tightens a per-variable box and never
+    becomes a row.  ``==``/``!=`` rows, single-variable ones too, stay rows
+    in input order; multi-variable ``<=`` rows keep only the strongest row
+    per linear form, in first-seen order.  Rows are GCD-normalized exactly
+    as :meth:`LinCon.normalized` would, but only where that can change
+    them: a compiled pack row arrives normalized, and substitution can only
+    raise its gcd.  A ground-false row (an ``==`` whose gcd does not divide
+    its constant) leaves the marker ``normalized()`` returns in its place.
+
+    ``SmtOracle.begin_record`` (without harvesting), ``IntervalOracle.
+    begin_record`` and ``IntervalOracle.fix`` all fold through this class,
+    so the solver's assertion order and the interval tier's rows come from
+    one implementation.
     """
-    conjunctive: List[LinCon] = []
+
+    __slots__ = ("bounds", "tight", "rows", "forms", "fresh")
+
+    def __init__(self, bounds: Bounds):
+        self.bounds = bounds
+        # name -> (low, high) after this fold's single-variable rows, each
+        # starting from the schema bound (None: open, for off-schema names).
+        self.tight: Dict[str, Tuple[Optional[int], Optional[int]]] = {}
+        self.rows: List[LinCon] = []
+        self.forms: Dict[Tuple[Tuple[str, int], ...], LinCon] = {}
+        # Rows built by normalizing or harvested from a formula, which a
+        # warm propagation after this fold queues.  A row substituted with
+        # its gcd still 1 narrows exactly as its source did with the
+        # substituted value pinned, so it is not among them.
+        self.fresh: List[LinCon] = []
+
+    def keep(self, row: LinCon) -> None:
+        """Fold a row that is already normalized."""
+        if row.op == "<=" and len(row.items) == 1:
+            name, coeff = row.items[0]
+            self._bound(name, coeff, row.const)
+        else:
+            self._place(row.items, row.const, row.op, row, False)
+
+    def carry(
+        self, rows: List[LinCon], touched: Collection[int], fixed: Mapping[str, int]
+    ) -> bool:
+        """Fold a folded state's rows with ``fixed`` substituted into the
+        rows at the ``touched`` indices; every other row passes through as
+        the same object.  False when a row becomes ground-false."""
+        forms, eqs = self.forms, self.rows
+        for index, row in enumerate(rows):
+            if index in touched:
+                if not self.substitute(row, fixed):
+                    return False
+            elif row.op != "<=":
+                eqs.append(row)
+            else:  # a folded row is the strongest of its form: only a
+                # substituted row met earlier can share the form
+                seen = forms.get(row.items)
+                if seen is None or row.const > seen.const:
+                    forms[row.items] = row
+        return True
+
+    def substitute(self, row: LinCon, fixed: Mapping[str, int]) -> bool:
+        """Fold a normalized row holding some of ``fixed``, with those
+        values substituted; False when the row becomes ground-false."""
+        rest = []
+        const = row.const
+        for name, coeff in row.items:
+            value = fixed.get(name)
+            if value is None:
+                rest.append((name, coeff))
+            else:
+                const += coeff * value
+        op = row.op
+        if not rest:
+            return const <= 0 if op == "<=" else (const == 0) == (op == "==")
+        if op == "<=" and len(rest) == 1:  # the common case: into the box
+            name, coeff = rest[0]
+            self._bound(name, coeff, const)
+        else:
+            self._normalize(tuple(rest), const, op, None, False)
+        return True
+
+    def tree(
+        self,
+        residual: Formula,
+        names: FrozenSet[str],
+        disjunctive: List[Disjunct],
+        harvest: bool,
+    ) -> bool:
+        """Fold one residual formula; False when it is ground-false.
+
+        A disjunction is kept in ``disjunctive``; with ``harvest`` it also
+        contributes the rows it conjunctively implies (see
+        :func:`_conjuncts`).
+        """
+        if isinstance(residual, BoolConst):
+            return residual.value
+        implied: List[LinCon] = []
+        if not _conjuncts(residual, implied):
+            disjunctive.append((residual, names))
+            if not harvest:
+                return True
+        for con in implied:
+            self._normalize(con.items, con.const, con.op, con, True)
+        return True
+
+    def _normalize(self, items, const: int, op: str, row, fresh: bool) -> None:
+        if op == "<=" and len(items) == 1:  # folds into the box at any scale
+            name, coeff = items[0]
+            self._bound(name, coeff, const)
+            return
+        g = gcd(*[coeff for _, coeff in items])
+        if g > 1:
+            items = tuple((name, coeff // g) for name, coeff in items)
+            if op == "<=":
+                const = -((-const) // g)
+            elif const % g:
+                if op == "==":
+                    self.rows.append(LinCon((), 1, "<="))
+                return  # a != whose gcd misses the constant always holds
+            else:
+                const //= g
+            row, fresh = None, True
+        self._place(items, const, op, row, fresh)
+
+    def _bound(self, name: str, coeff: int, const: int) -> None:
+        """Fold ``coeff*name + const <= 0`` into the box."""
+        low, high = self.tight.get(name) or self.bounds.get(name, (None, None))
+        if coeff > 0:  # name <= floor(-const / coeff)
+            limit = (-const) // coeff
+            if high is None or limit < high:
+                high = limit
+        else:  # name >= ceil(const / -coeff)
+            limit = -((-const) // (-coeff))
+            if low is None or limit > low:
+                low = limit
+        self.tight[name] = (low, high)
+
+    def _place(self, items, const: int, op: str, row, fresh: bool) -> None:
+        """Place a normalized multi-variable or ``==``/``!=`` row."""
+        if op == "<=":
+            seen = self.forms.get(items)
+            if seen is not None and const <= seen.const:
+                return
+        if row is None:
+            row = LinCon(items, const, op)
+        if fresh:
+            self.fresh.append(row)
+        if op == "<=":
+            self.forms[items] = row
+        else:
+            self.rows.append(row)
+
+    def box(self) -> Dict[str, Tuple[int, int]]:
+        """The schema bounds with this fold's tightenings, closed (an
+        off-schema name's open end closes at 0)."""
+        box = dict(self.bounds)
+        for name, (low, high) in self.tight.items():
+            box[name] = (0 if low is None else low, 0 if high is None else high)
+        return box
+
+    def refuted(self) -> bool:
+        """True when a ground-false marker row was folded."""
+        return any(not row.items for row in self.rows)
+
+    def folded_rows(self) -> List[LinCon]:
+        """The equalities and disequalities, then the strongest ``<=``
+        rows."""
+        return self.rows + list(self.forms.values())
+
+
+def fold_pack(
+    pack: Tuple[PackEntry, ...],
+    fixed: Mapping[str, int],
+    harvest: bool,
+    bounds: Bounds,
+) -> Optional[Tuple[_Fold, List[Disjunct]]]:
+    """Residualize every rule of ``pack`` against ``fixed`` and fold it.
+
+    Returns the fold and the residual disjunctions in rule order, or None
+    when a rule is refuted.  Rules that residualize to TRUE drop out; a
+    row that holds no fixed variable is folded as it is.
+    """
+    fold = _Fold(bounds)
     disjunctive: List[Disjunct] = []
     for row, tree, names in pack:
-        if row is not None:
-            if not _route_row(row, fixed, conjunctive):
+        if names.isdisjoint(fixed):
+            if row is not None:
+                fold.keep(row)
+            elif not fold.tree(tree, names, disjunctive, harvest):
                 return None
-            continue
-        residual = tree if names.isdisjoint(fixed) else _substitute_simplify(tree, fixed)
-        if not _route(residual, names, conjunctive, disjunctive, harvest):
+        elif row is not None:
+            if not fold.substitute(row, fixed):
+                return None
+        elif not fold.tree(
+            _substitute_simplify(tree, fixed), names, disjunctive, harvest
+        ):
             return None
-    return conjunctive, disjunctive
-
-
-def _route_row(con: LinCon, fixed: Mapping[str, int], out: List[LinCon]) -> bool:
-    """Substitute ``fixed`` into one linear row and append what is left;
-    False when the row becomes ground-false."""
-    rest = []
-    const = con.const
-    for name, coeff in con.items:
-        value = fixed.get(name)
-        if value is None:
-            rest.append((name, coeff))
-        else:
-            const += coeff * value
-    if not rest:
-        return LinCon((), const, con.op).ground_truth()
-    if len(rest) == len(con.items):
-        out.append(con)
-    else:
-        out.append(LinCon(tuple(rest), const, con.op))
-    return True
-
-
-def _route(
-    residual: Formula,
-    names: FrozenSet[str],
-    conjunctive: List[LinCon],
-    disjunctive: List[Disjunct],
-    harvest: bool,
-) -> bool:
-    """File one residual formula; False when it is ground-false."""
-    if isinstance(residual, BoolConst):
-        return residual.value
-    implied: List[LinCon] = []
-    if not _conjuncts(residual, implied):
-        disjunctive.append((residual, names))
-        if not harvest:
-            return True
-    conjunctive.extend(implied)
-    return True
+    return fold, disjunctive
 
 
 def _substitute_simplify(node: Formula, fixed: Mapping[str, int]) -> Formula:
@@ -579,15 +722,15 @@ class SmtOracle(FeasibilityOracle):
         # selector numbering, and so the work a budget meters, would move.
         self._solver = Solver(meter=self.meter)
         self._solver.push()
-        residual = residualize_pack(compiled_pack(self.rules), self.fixed, harvest=False)
-        if residual is None:
+        folded = fold_pack(compiled_pack(self.rules), self.fixed, False, self.bounds)
+        if folded is None:
             raise InfeasibleRecordError(f"rule refuted by fixed values {self.fixed}")
-        conjunctive, disjunctive = residual
-        # Fold the (typically hundreds of) conjunctive residual constraints
-        # down to the strongest bound per linear form -- the solver then sees
-        # tens of atoms instead of hundreds, which matters per token.
-        folded_bounds, folded_rows = _fold_lincons(conjunctive, self.bounds)
-        for name, (low, high) in folded_bounds.items():
+        fold, disjunctive = folded
+        # The fold leaves the (typically hundreds of) conjunctive residual
+        # constraints as the strongest bound per linear form -- the solver
+        # then sees tens of atoms instead of hundreds, which matters per
+        # token.
+        for name, (low, high) in fold.box().items():
             if name in self.fixed:
                 if not low <= self.fixed[name] <= high:
                     raise InfeasibleRecordError(
@@ -598,7 +741,7 @@ class SmtOracle(FeasibilityOracle):
                 raise InfeasibleRecordError(f"empty folded domain for {name}")
             self._solver.add(Le(low, IntVar(name)))
             self._solver.add(Le(IntVar(name), high))
-        for row in folded_rows:
+        for row in fold.folded_rows():
             self._solver.add(_row_formula(row))
         for formula, _ in disjunctive:
             self._solver.add(formula)
@@ -705,60 +848,6 @@ def _conjuncts(node: Formula, out: List[LinCon]) -> bool:
     return False
 
 
-def _fold_lincons(
-    constraints: List[LinCon], base_bounds: Bounds
-) -> Tuple[Dict[str, Tuple[int, int]], List[LinCon]]:
-    """Tighten per-variable bounds and keep only the strongest constraint
-    per multi-variable linear form.
-
-    Returns (bounds, rows): the rows are the normalized equalities and
-    disequalities in input order, then the strongest ``<=`` per form in
-    first-seen order; a ground-false input leaves the ground-false marker
-    row in its place.
-    """
-    bounds: Dict[str, Tuple[int, int]] = dict(base_bounds)
-    strongest: Dict[Tuple, LinCon] = {}
-    rows: List[LinCon] = []
-    for con in constraints:
-        reduced = con.normalized()
-        if reduced is None:
-            continue
-        if reduced.is_ground():
-            if not reduced.ground_truth():
-                rows.append(reduced)
-            continue
-        items = reduced.items
-        if len(items) == 1 and reduced.op == "<=":
-            name, coeff = items[0]
-            low, high = bounds.get(name, (None, None))
-            if coeff > 0:  # coeff*v <= -const
-                limit = (-reduced.const) // coeff
-                high = limit if high is None else min(high, limit)
-            else:  # coeff < 0:  v >= ceil(const / -coeff)
-                limit = -((-reduced.const) // (-coeff))
-                low = limit if low is None else max(low, limit)
-            bounds[name] = (low, high)
-            continue
-        if reduced.op == "<=":
-            key = (items, "<=")
-            seen = strongest.get(key)
-            if seen is None or reduced.const > seen.const:
-                strongest[key] = reduced
-            continue
-        # Equalities and disequalities pass through unfolded.
-        rows.append(reduced)
-    rows.extend(strongest.values())
-    # Close any half-open bounds back to the base domain.
-    closed: Dict[str, Tuple[int, int]] = {}
-    for name, (low, high) in bounds.items():
-        base_low, base_high = base_bounds.get(name, (0, 0))
-        closed[name] = (
-            base_low if low is None else low,
-            base_high if high is None else high,
-        )
-    return closed, rows
-
-
 def _row_formula(row: LinCon) -> Formula:
     """A folded row as the formula the solver asserts."""
     if row.is_ground():
@@ -770,14 +859,21 @@ class IntervalOracle(FeasibilityOracle):
     """Bounds-propagation tier: fast, sound for pruning, incomplete.
 
     ``begin_record`` residualizes the rule set's compiled pack (built once
-    per rule set) and folds the result: single-variable residual
-    constraints collapse into a per-variable *box*, multi-variable ones keep
-    only the strongest bound per linear form, and disjunctive residuals are
-    held back symbolically (they only inform propagation once all but one
-    branch dies).  Each ``fix`` is incremental: only the rows and
-    disjunctions that mention the fixed variable are substituted, the rest
-    pass through in order, and the result is refolded.  Queries run
-    propagation over a system prepared once per such state.
+    per rule set) and folds the result (:class:`_Fold`): single-variable
+    residual constraints collapse into a per-variable *box*, multi-variable
+    ones keep only the strongest bound per linear form, and disjunctive
+    residuals are held back symbolically (they only inform propagation once
+    all but one branch dies).
+
+    Every later state derives from its parent.  A ``fix`` substitutes into
+    and refolds only the rows holding the fixed variable (found through the
+    parent's watch index) and the disjunctions that mention it; every other
+    row passes through as the same object.  Queries run propagation over a
+    system indexed once per state.  A confirmation starts from the state's
+    propagated domain when it has one, and a fix that follows a SAT
+    confirmation of the same value starts its propagation from that
+    confirmation's domain (see :class:`~repro.smt.intervals.PreparedSystem`
+    for why a warm run reaches the cold run's fixpoint).
     """
 
     def __init__(
@@ -803,8 +899,14 @@ class IntervalOracle(FeasibilityOracle):
         self._multi_cons = multi
         self._disjunctive = disjunctive
         self._domain_cache: Optional[Dict[str, Interval]] = None
+        self._converged = False  # whether _domain_cache is a fixpoint
         self._prepared: Optional[PreparedSystem] = None
         self._initial: Optional[Dict[str, Interval]] = None
+        # The last computed SAT confirmation as (variable, value, domain),
+        # and for a state a fix derived after one: that domain and the
+        # fold's fresh rows, to warm-start the state's first propagation.
+        self._confirmed: Optional[Tuple[str, int, Dict[str, Interval]]] = None
+        self._seed: Optional[Tuple[Dict[str, Interval], List[LinCon]]] = None
 
     # -- refold-state snapshots ('istate' cache section) ----------------------
 
@@ -818,7 +920,7 @@ class IntervalOracle(FeasibilityOracle):
         # Never adopt a propagated domain along with the snapshot: a domain
         # computed before some fix() on the producing path would silently
         # *widen* the admissible set here.  Domains are recomputed lazily
-        # from the (exact) refold state instead.
+        # from the (exact) refold state instead, from cold.
         self._set_state(dict(box), list(multi), list(disjunctive))
         return True
 
@@ -844,52 +946,35 @@ class IntervalOracle(FeasibilityOracle):
         self.fixed = {k: int(v) for k, v in (fixed or {}).items()}
         self._reset_state_key(self.fixed)
         if not self._restore_istate():
-            self._refuted = False
-            residual = residualize_pack(
-                compiled_pack(self.rules), self.fixed, harvest=True
-            )
-            if residual is None:
-                self._refuted = True
-            else:
-                self._fold(*residual, self.fixed, None)
+            folded = fold_pack(compiled_pack(self.rules), self.fixed, True, self.bounds)
+            self._refuted = folded is None or not self._adopt(*folded)
+            if self._refuted:
+                self._set_state(dict(self.bounds), [], [])
             self._store_istate()
-        if self._refuted or self._propagate(None, None) is None:
+        if self._refuted or self._state_domain() is None:
             raise InfeasibleRecordError(
                 f"bounds propagation refutes fixed values {self.fixed}"
             )
 
-    def _fold(
-        self,
-        conjunctive: List[LinCon],
-        disjunctive: List[Disjunct],
-        checked: Mapping[str, int],
-        previous_box: Optional[Dict[str, Tuple[int, int]]],
-    ) -> None:
-        """Fold residualized constraints into the refold state.
+    def _adopt(self, fold: _Fold, disjunctive: List[Disjunct]) -> bool:
+        """Adopt a record's first fold; False when it refutes the record.
 
-        ``checked`` holds the values just substituted, each of which must
-        lie in its folded bounds.  Folding starts from the schema bounds, so
-        an incremental fold passes the ``previous_box`` to keep earlier
-        tightenings.  On refutation the old state stays as it was.
-        """
-        box, rows = _fold_lincons(conjunctive, self.bounds)
+        Each fixed value must lie in its folded bounds."""
+        box = fold.box()
         for name, (low, high) in box.items():
             if low > high or (
-                name in checked and not low <= checked[name] <= high
+                name in self.fixed and not low <= self.fixed[name] <= high
             ):
-                self._refuted = True
-                return
-        if any(row.is_ground() for row in rows):
-            self._refuted = True
-            return
-        if previous_box is not None:
-            for name, (low, high) in box.items():
-                prev_low, prev_high = previous_box.get(name, (low, high))
-                low, high = max(low, prev_low), min(high, prev_high)
-                box[name] = (low, high)
-                if low > high and name not in self.fixed:
-                    self._refuted = True
-        self._set_state(box, rows, disjunctive)
+                return False
+        if fold.refuted():
+            return False
+        self._set_state(box, fold.folded_rows(), disjunctive)
+        return True
+
+    def _prepared_system(self) -> PreparedSystem:
+        if self._prepared is None:
+            self._prepared = PreparedSystem.of_normalized(self._multi_cons)
+        return self._prepared
 
     def _initial_domain(self) -> Dict[str, Interval]:
         if self._initial is None:
@@ -901,61 +986,86 @@ class IntervalOracle(FeasibilityOracle):
             self._initial = initial
         return self._initial
 
-    def _propagate(self, extra_var: Optional[str], extra_value: Optional[int]):
-        """Domain after propagation, optionally pinning one trial value."""
+    def _state_domain(self) -> Optional[Dict[str, Interval]]:
+        """The state's propagated domain; None when propagation refutes it."""
         if self._refuted:
             return None
-        if extra_var is None and self._domain_cache is not None:
+        if self._domain_cache is not None:
             return self._domain_cache
-        if extra_var is None:
-            # The propagated domain is a pure function of the refold state,
-            # which the state key pins exactly -- so unlike ``_domain_cache``
-            # (which must be dropped on every state change) the shared entry
-            # can never leak a stale, wider domain into a narrower state.
-            key = self._cache_key("dom")
-            hit = self.cache.lookup(key)
-            if hit is not None:
-                domain = hit[0]
-                self._domain_cache = domain
-                return domain
-        if self._prepared is None:
-            self._prepared = PreparedSystem(self._multi_cons)
-        initial = self._initial_domain()
-        extra: List[LinCon] = []
-        if extra_var is not None:
-            pin = initial.get(extra_var, Interval(extra_value, extra_value))
-            if not pin.contains(extra_value):
-                return None
-            initial = dict(initial)
-            initial[extra_var] = Interval(extra_value, extra_value)
-            # The trial value may collapse disjunctions; harvest those.  A
-            # disjunction without the variable residualizes to itself, and
-            # what it implies is already folded into this state.
-            trial = {extra_var: extra_value}
-            for formula, names in self._disjunctive:
-                if extra_var not in names:
-                    continue
-                reduced = _substitute_simplify(formula, trial)
-                if isinstance(reduced, BoolConst):
-                    if not reduced.value:
-                        return None
-                    continue
-                _conjuncts(reduced, extra)
-        result = self._prepared.run(initial, extra)
+        # The propagated domain is a pure function of the refold state,
+        # which the state key pins exactly -- so unlike ``_domain_cache``
+        # (which must be dropped on every state change) the shared entry
+        # can never leak a stale, wider domain into a narrower state.
+        key = self._cache_key("dom")
+        hit = self.cache.lookup(key)
+        if hit is not None:
+            self._domain_cache, self._converged = hit
+            return hit[0]
+        warm = None
+        if self._seed is not None:
+            warm = self._warm_start(*self._seed)
+            self._seed = None
+        result = self._prepared_system().run(self._initial_domain(), (), warm)
         domain = result.domain if result.feasible else None
-        if extra_var is None:
-            self._domain_cache = domain
-            # Wrapped in a tuple so a legitimately-infeasible None is
-            # distinguishable from a cache miss.
-            self.cache.store(self._cache_key("dom"), (domain,))
+        self._domain_cache, self._converged = domain, result.converged
+        # Paired with the converged flag: a legitimately-infeasible None is
+        # then distinguishable from a cache miss, and only a fixpoint
+        # seeds a warm run.
+        self.cache.store(key, (domain, result.converged))
         return domain
+
+    def _known_domain(self) -> Optional[Tuple[Optional[Dict[str, Interval]], bool]]:
+        """``(domain, converged)`` when the state's domain exists without
+        propagating."""
+        if self._domain_cache is not None:
+            return self._domain_cache, self._converged
+        key = self._cache_key("dom")
+        return self.cache.lookup(key) if key in self.cache else None
+
+    def _confirm_run(self, variable: str, value: int) -> Optional[PropagationResult]:
+        """Propagation with one trial value pinned; None when refuted
+        before it runs."""
+        if self._refuted:
+            return None
+        initial = self._initial_domain()
+        pin = initial.get(variable, Interval(value, value))
+        if not pin.contains(value):
+            return None
+        initial = dict(initial)
+        initial[variable] = Interval(value, value)
+        # The trial value may collapse disjunctions; harvest those.  A
+        # disjunction without the variable residualizes to itself, and
+        # what it implies is already folded into this state.
+        extra: List[LinCon] = []
+        trial = {variable: value}
+        for formula, names in self._disjunctive:
+            if variable not in names:
+                continue
+            reduced = _substitute_simplify(formula, trial)
+            if isinstance(reduced, BoolConst):
+                if not reduced.value:
+                    return None
+                continue
+            _conjuncts(reduced, extra)
+        warm = None
+        known = self._known_domain()
+        if known is not None and known[1]:
+            # Pinning the value narrows the state's fixpoint only through
+            # the rows watching the variable and the harvested rows.
+            domain = known[0]
+            if domain is None or not domain.get(variable, pin).contains(value):
+                return None
+            start = dict(domain)
+            start[variable] = Interval(value, value)
+            warm = (start, (variable,), ())
+        return self._prepared_system().run(initial, extra, warm)
 
     def feasible_set(self, variable: str) -> FeasibleSet:
         self._count_query()
         return self._cached_feasible_set(variable, lambda: self._feasible_set(variable))
 
     def _feasible_set(self, variable: str) -> FeasibleSet:
-        domain = self._propagate(None, None)
+        domain = self._state_domain()
         if domain is None:
             return FeasibleSet.empty()
         interval = domain.get(variable)
@@ -974,37 +1084,125 @@ class IntervalOracle(FeasibilityOracle):
         hit = self.cache.lookup(key)
         if hit is not None:
             return hit == SAT
-        verdict = self._propagate(variable, value) is not None
+        result = self._confirm_run(variable, int(value))
+        verdict = result is not None and result.feasible
+        if verdict and result.converged:
+            self._confirmed = (variable, int(value), result.domain)
         # Propagation is deterministic and budget-free here, so both
         # verdicts are definite and safe to cache.
         self.cache.store(key, SAT if verdict else UNSAT)
         return verdict
 
     def fix(self, variable: str, value: int) -> None:
+        confirmed = self._confirmed
         self.fixed[variable] = value
         self._extend_state_key(variable, value)
         if self._restore_istate():
             return
-        if self._refuted:
-            self._store_istate()
+        if not self._refuted:
+            if confirmed is not None and confirmed[:2] != (variable, int(value)):
+                confirmed = None
+            self._refold(variable, int(value), confirmed)
+        self._store_istate()
+
+    def _refold(
+        self,
+        variable: str,
+        value: int,
+        confirmed: Optional[Tuple[str, int, Dict[str, Interval]]],
+    ) -> None:
+        """Derive the child state of ``fix(variable=value)`` from this one."""
+        rows = self._multi_cons
+        touched = self._prepared_system().watch.get(variable, ())
+        fold = _Fold(self.bounds)
+        assignment = {variable: value}
+        if not fold.carry(rows, set(touched), assignment):
+            self._refuted = True
             return
-        assignment = {variable: int(value)}
-        conjunctive: List[LinCon] = []
         disjunctive: List[Disjunct] = []
-        refuted = not all(
-            _route_row(con, assignment, conjunctive) for con in self._multi_cons
-        )
         for formula, names in self._disjunctive:
-            if refuted:
-                break
             if variable in names:
                 formula = _substitute_simplify(formula, assignment)
-            refuted = not _route(formula, names, conjunctive, disjunctive, True)
-        if refuted:
+            elif not isinstance(formula, And):
+                # Implies no row: passes through.  An And re-harvests below.
+                disjunctive.append((formula, names))
+                continue
+            if not fold.tree(formula, names, disjunctive, True):
+                self._refuted = True
+                return
+        # The fixed value must lie in its schema bounds (no row holds the
+        # variable any more, so the fold cannot tighten it).  The fold
+        # starts from the schema bounds; the parent's box keeps every
+        # earlier tightening, so only this fold's names can move.
+        low, high = self.bounds.get(variable, (value, value))
+        if fold.refuted() or not low <= value <= high:
             self._refuted = True
-        else:
-            self._fold(conjunctive, disjunctive, assignment, self._box)
-        self._store_istate()
+            return
+        parent = self._box
+        box = dict(parent)
+        if len(box) != len(self.bounds):  # off-schema names: refolded only
+            box = {name: b for name, b in box.items() if name in self.bounds}
+        emptied = False
+        for name, (low, high) in fold.tight.items():
+            low = 0 if low is None else low
+            high = 0 if high is None else high
+            if low > high:
+                self._refuted = True
+                return
+            prev_low, prev_high = parent.get(name, (low, high))
+            box[name] = merged = (max(low, prev_low), min(high, prev_high))
+            if merged[0] > merged[1] and name not in self.fixed:
+                emptied = True
+        self._set_state(box, fold.folded_rows(), disjunctive)
+        self._refuted = emptied
+        # A dropped off-schema bound widens this state's initial domain
+        # past the confirmation's, which then no longer holds the fixpoint.
+        if confirmed is not None and not emptied and all(
+            name in box for name in parent
+        ):
+            self._seed = (confirmed[2], fold.fresh)
+
+    def _warm_start(
+        self, confirmed: Dict[str, Interval], fresh: List[LinCon]
+    ) -> Warm:
+        """Where a fix after a SAT confirmation of its value starts.
+
+        The confirmation's domain holds this state's fixpoint: every row
+        here is an untouched parent row, a row the fix substituted (which,
+        with its gcd still 1, narrows as its source did with the value
+        pinned), or one of the fresh rows.  Intersected with this state's
+        initial domain it is a valid start, and only the fresh rows and the
+        rows watching a variable the intersection narrowed can be unstable.
+        """
+        start: Dict[str, Interval] = {}
+        narrowed: List[str] = []
+        for name, interval in self._initial_domain().items():
+            seen = confirmed.get(name)
+            if seen is None:
+                start[name] = interval
+                narrowed.append(name)
+            elif (
+                interval.lower is not None
+                and (seen.lower is None or seen.lower < interval.lower)
+            ) or (
+                interval.upper is not None
+                and (seen.upper is None or seen.upper > interval.upper)
+            ):
+                start[name] = seen.intersect(interval)
+                narrowed.append(name)
+            else:
+                start[name] = seen
+        prepared = self._prepared_system()
+        for name in prepared.variables:
+            if name not in start:
+                start[name] = confirmed.get(name, TOP)
+        indices: List[int] = []
+        if fresh:
+            ids = {id(row) for row in fresh}
+            indices = [
+                index for index, row in enumerate(prepared.active) if id(row) in ids
+            ]
+        return start, narrowed, indices
 
     def discard_record_state(self) -> None:
         """Drop the refold state and the shared-cache snapshots the dying

@@ -544,7 +544,7 @@ class EnforcementSession:
                 continue
             if candidate is None:
                 candidate, candidate_tier = values, tier_index
-            if self._owner._auditable(tier_rules, values).compliant(values):
+            if self._owner._compliant(tier_rules, values):
                 logger.debug("degraded to interval-audit (tier %d)", tier_index)
                 return RecordOutcome(
                     values,
@@ -570,7 +570,7 @@ class EnforcementSession:
             for name in self._variables:
                 values[name] = int(model.get(name, self._bounds[name][0]))
             self._trace.solver_forced_vars += len(self._variables)
-            if self._owner._auditable(tier_rules, values).compliant(values):
+            if self._owner._compliant(tier_rules, values):
                 logger.debug("degraded to forced-model (tier %d)", tier_index)
                 return RecordOutcome(
                     values,
@@ -598,9 +598,7 @@ class EnforcementSession:
         primary_rules = (
             self._lane.tiers[0][0] if self._lane.tiers else self._owner.rules
         )
-        compliant = self._owner._auditable(
-            primary_rules, values
-        ).compliant(values)
+        compliant = self._owner._compliant(primary_rules, values)
         logger.warning(
             "record degraded to clamped values (compliant=%s)", compliant
         )
@@ -642,7 +640,7 @@ class EnforcementSession:
             values = dict(self._fixed)
             for name in self._variables:
                 values[name] = int(repaired.get(name, full[name]))
-            if self._owner._auditable(tier_rules, values).compliant(values):
+            if self._owner._compliant(tier_rules, values):
                 logger.debug("degraded to posthoc-repair (tier %d)", tier_index)
                 return RecordOutcome(
                     values,
@@ -694,7 +692,7 @@ class EnforcementSession:
                 continue  # truly infeasible prefix: try the next rule tier
             except _StrictRetryExhausted:
                 return None  # maybe interval incompleteness: go to SMT phase
-            if self._owner._auditable(rules, values).compliant(values):
+            if self._owner._compliant(rules, values):
                 return values, tier_index
             return None  # audit failed: fall through to the SMT phase
         return None

@@ -5,6 +5,7 @@ by hand (:func:`paper_rules`, :func:`zoom2net_manual_rules`) or mine them
 from training data NetNomos-style (:func:`mine_rules`).
 """
 
+from .audit import compliance_check
 from .diagnose import InfeasibilityReport, diagnose_infeasibility
 from .dsl import Rule, RuleSet, var
 from .io import (
@@ -32,6 +33,7 @@ __all__ = [
     "rules_to_json",
     "rules_from_json",
     "rules_fingerprint",
+    "compliance_check",
     "RuleSetHandle",
     "RuleSetRegistry",
     "builtin_registry",

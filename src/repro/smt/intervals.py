@@ -14,7 +14,7 @@ the containment property against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .lincon import LinCon
 
@@ -118,6 +118,11 @@ def _normalize_all(
     return True
 
 
+# A warm start for PreparedSystem.run: (start domain, variables whose
+# watching rows are queued, indices of further rows to queue).
+Warm = Tuple[Mapping[str, Interval], Iterable[str], Iterable[int]]
+
+
 class PreparedSystem:
     """A constraint system normalized and watch-indexed once, run many times.
 
@@ -129,6 +134,11 @@ class PreparedSystem:
     a few per-query ``extra`` constraints -- and get exactly what a
     from-scratch run would.
 
+    The same argument licenses a *warm* run: started from any domain ``D``
+    between the converged fixpoint and the initial domain, with only the
+    rows that may be unstable on ``D`` queued, a converged run reaches the
+    fixpoint a cold run reaches (see :meth:`run`).
+
     Equalities propagate in both directions; disequalities only fire when
     the rest of the constraint is pinned to a single value.
     """
@@ -136,56 +146,121 @@ class PreparedSystem:
     __slots__ = ("active", "watch", "variables", "refuted")
 
     def __init__(self, constraints: Iterable[LinCon]):
-        self.active: List[LinCon] = []
-        self.refuted = not _normalize_all(constraints, self.active)
-        self.watch: Dict[str, List[LinCon]] = {}
-        for con in self.active:
+        active: List[LinCon] = []
+        self.refuted = not _normalize_all(constraints, active)
+        self._index(active)
+
+    @classmethod
+    def of_normalized(cls, rows: List[LinCon]) -> "PreparedSystem":
+        """A system over rows that are already normalized and non-ground,
+        indexed as they are (the list is kept, not copied)."""
+        system = cls.__new__(cls)
+        system.refuted = False
+        system._index(rows)
+        return system
+
+    def _index(self, active: List[LinCon]) -> None:
+        # watch maps a variable to the indices of the rows holding it, in
+        # row order.
+        self.active = active
+        watch: Dict[str, List[int]] = {}
+        for index, con in enumerate(active):
             for var, _ in con.items:
-                self.watch.setdefault(var, []).append(con)
-        self.variables = tuple(self.watch)
+                watch.setdefault(var, []).append(index)
+        self.watch = watch
+        self.variables = tuple(watch)
 
     def run(
         self,
         initial: Optional[Mapping[str, Interval]] = None,
         extra: Iterable[LinCon] = (),
+        warm: Optional[Warm] = None,
     ) -> PropagationResult:
-        """Propagate from ``initial`` to fixpoint with ``extra`` added."""
-        domain: IntervalDomain = dict(initial or {})
-        if self.refuted:
-            return PropagationResult(False, domain)
+        """Propagate from ``initial`` to fixpoint with ``extra`` added.
+
+        ``warm`` is ``(start, variables, rows)``: start from the domain
+        ``start`` instead, queueing only the rows watching ``variables``,
+        the rows at indices ``rows``, and every extra.  ``start`` must lie
+        between the converged fixpoint and ``initial``, and every row left
+        out of the queue must be stable on it; a converged warm run then
+        returns the cold run's result.  A warm run that stops at the
+        iteration cap is discarded for a cold one, so a capped result never
+        depends on the warm path.
+        """
+        initial = initial or {}
         more: List[LinCon] = []
-        if not _normalize_all(extra, more):
-            return PropagationResult(False, domain)
+        if self.refuted or not _normalize_all(extra, more):
+            return PropagationResult(False, dict(initial))
         active, watch = self.active, self.watch
-        for var in self.variables:
-            domain.setdefault(var, TOP)
         if more:
             active = active + more
             watch = dict(watch)  # new lists below: the index stays shared
-            for con in more:
+            for index, con in enumerate(more, len(self.active)):
                 for var, _ in con.items:
-                    domain.setdefault(var, TOP)
-                    watch[var] = watch.get(var, []) + [con]
+                    watch[var] = watch.get(var, []) + [index]
+        if warm is not None:
+            start, variables, rows = warm
+            queue: List[int] = []
+            queued = [False] * len(active)
+            for source in [watch.get(var, ()) for var in variables] + [
+                rows,
+                range(len(self.active), len(active)),
+            ]:
+                for index in source:
+                    if not queued[index]:
+                        queued[index] = True
+                        queue.append(index)
+            result = _solve(
+                active, watch, self._domain(start, more), queue, queued
+            )
+            if result.converged:
+                return result
+        return _solve(
+            active,
+            watch,
+            self._domain(initial, more),
+            list(range(len(active))),
+            [True] * len(active),
+        )
 
-        queue: List[LinCon] = list(active)
-        queued = {id(con) for con in queue}
-        iterations = 0
-        while queue:
-            iterations += 1
-            if iterations > _WIDEN_LIMIT:
-                # Give up on convergence; the domain so far is still sound.
-                return PropagationResult(True, domain, converged=False)
-            con = queue.pop()
-            queued.discard(id(con))
-            changed_vars = _propagate_one(con, domain)
-            if changed_vars is None:  # the row is certainly violated
-                return PropagationResult(False, domain)
-            for var in changed_vars:
-                for dependent in watch.get(var, ()):
-                    if id(dependent) not in queued:
-                        queue.append(dependent)
-                        queued.add(id(dependent))
-        return PropagationResult(True, domain)
+    def _domain(
+        self, start: Mapping[str, Interval], more: List[LinCon]
+    ) -> IntervalDomain:
+        """``start`` with every system variable present (TOP if absent)."""
+        domain = dict(start)
+        for var in self.variables:
+            domain.setdefault(var, TOP)
+        for con in more:
+            for var, _ in con.items:
+                domain.setdefault(var, TOP)
+        return domain
+
+
+def _solve(
+    active: List[LinCon],
+    watch: Mapping[str, List[int]],
+    domain: IntervalDomain,
+    queue: List[int],
+    queued: List[bool],
+) -> PropagationResult:
+    """Chaotic iteration from ``queue`` until no row is queued."""
+    iterations = 0
+    while queue:
+        iterations += 1
+        if iterations > _WIDEN_LIMIT:
+            # Give up on convergence; the domain so far is still sound.
+            return PropagationResult(True, domain, converged=False)
+        index = queue.pop()
+        queued[index] = False
+        changed_vars = _propagate_one(active[index], domain)
+        if changed_vars is None:  # the row is certainly violated
+            return PropagationResult(False, domain)
+        for var in changed_vars:
+            for dependent in watch[var]:
+                if not queued[dependent]:
+                    queued[dependent] = True
+                    queue.append(dependent)
+    return PropagationResult(True, domain)
 
 
 def _propagate_one(con: LinCon, domain: IntervalDomain) -> Optional[List[str]]:

@@ -3,22 +3,24 @@
 import random
 
 import pytest
+from reference_fold import _fold_lincons, raw_pack, residualize_pack
 
 from repro.core.feasible import (
     HybridOracle,
     InfeasibleRecordError,
     IntervalOracle,
     SmtOracle,
-    _fold_lincons,
     _row_formula,
     _substitute_simplify,
     compiled_pack,
+    fold_pack,
     residualize,
 )
 from repro.core.transition import FeasibleSet
 from repro.data import COARSE_FIELDS, TelemetryConfig, variable_bounds
 from repro.rules import (
     Rule,
+    RuleSet,
     domain_bound_rules,
     paper_rules,
     zoom2net_manual_rules,
@@ -423,6 +425,10 @@ def _assert_same_state(oracle, reference, bounds):
         assert oracle._box == reference.box
         assert oracle._multi_cons == reference.multi
         assert [formula for formula, _ in oracle._disjunctive] == reference.disjunctive
+        # The state's domain -- warm-started when a fix follows a SAT
+        # confirmation of its value -- is the cold run's over its rows.
+        cold = PreparedSystem(oracle._multi_cons).run(oracle._initial_domain())
+        assert oracle._state_domain() == (cold.domain if cold.feasible else None)
     for variable, (low, high) in bounds.items():
         if variable in reference.fixed:
             continue
@@ -454,6 +460,13 @@ def _drive(rules, bounds, prompts, seed, fixes_per_record):
             if not options.is_empty() and rng.random() < 0.8:
                 low, high = options.min_value, options.max_value
             value = rng.randint(low, high)
+            # Confirming first lets the fix warm-start from the confirmation;
+            # the sweep above cached every verdict, so drop this one to make
+            # the confirmation propagate.
+            oracle.cache.evict(oracle._cache_key("confirm", variable, value))
+            assert oracle.confirm(variable, value) == reference.confirm(
+                variable, value
+            )
             oracle.fix(variable, value)
             reference.fix(variable, value)
             _assert_same_state(oracle, reference, bounds)
@@ -497,3 +510,112 @@ class TestCompiledIntervalTier:
         oracle = IntervalOracle(rules, BOUNDS)
         oracle.begin_record(PROMPT)
         assert oracle.feasible_set("I0").max_value == 7
+
+
+def _corner_rules(always_false=True, off_schema=True):
+    """Rows whose normalization, substitution and folding take every path:
+    gcd > 1 before and after substitution, an always-false ``==`` (which
+    refutes every record), single-variable rows of every op, repeated
+    forms, rows over an off-schema variable ``w``, and conjunctions
+    harvested from residual disjunctions."""
+    x, y, z, w = IntVar("x"), IntVar("y"), IntVar("z"), IntVar("w")
+    formulas = [
+        Le(3 * x + 6 * y, 12),
+        Le(4 * x + 6 * z, 22),
+        Le(2 * x, 9),
+        Ge(3 * y, -2),
+        Le(x + 2 * y + 2 * z, 12),
+        Le(x + 2 * y, 7),
+        Le(2 * y + 4 * z + 2 * x, 13),
+        # Fixing x gives the next row's form, weaker: the later row wins.
+        Le(2 * x + y + z, 8),
+        Le(y + z, 3),
+        Not(Eq(2 * x + 4 * y, 6)),
+        Or(And(Le(x + y, 5), Eq(3 * x - 3 * z, 3)), Ge(y, 4)),
+        Implies(Ge(x, 2), Eq(2 * y + 2 * z, 4)),
+        Implies(Ge(y, 3), And(Le(x + z, 4), Or(Le(z, 1), Ge(y, 5)))),
+        Or(Le(x + y + z, 3), Ge(2 * x - 2 * z, 5)),
+    ]
+    if off_schema:
+        formulas += [
+            Eq(3 * x + 2 * y + 4 * z - 3 * w, 8),
+            Le(w, 3),
+            Ge(w + x, -2),
+        ]
+    if always_false:
+        formulas.append(Eq(2 * x + 2 * y, 1))
+    return RuleSet(
+        [Rule(f"c{i}", formula, kind="test") for i, formula in enumerate(formulas)]
+    )
+
+
+CORNER_BOUNDS = {"x": (-3, 6), "y": (-2, 5), "z": (0, 4)}
+
+
+class TestFoldMatchesReference:
+    """``fold_pack`` against the whole-pack reference fold over raw rows:
+    the same box in the same key order (the solver's assertion order),
+    the same rows in the same order, the same disjunctions, and the same
+    refutations -- with and without harvesting."""
+
+    @staticmethod
+    def _check(rules, bounds, assignments):
+        pack, raw = compiled_pack(rules), raw_pack(rules)
+        for fixed in assignments:
+            for harvest in (False, True):
+                mine = fold_pack(pack, fixed, harvest, bounds)
+                theirs = residualize_pack(raw, fixed, harvest)
+                assert (mine is None) == (theirs is None), fixed
+                if mine is None:
+                    continue
+                fold, disjunctive = mine
+                conjunctive, their_disjunctive = theirs
+                box, rows = _fold_lincons(conjunctive, bounds)
+                assert list(fold.box().items()) == list(box.items()), fixed
+                assert fold.folded_rows() == rows, fixed
+                assert disjunctive == their_disjunctive, fixed
+
+    @staticmethod
+    def _assignments(bounds, seed, count):
+        rng = random.Random(seed)
+        names = sorted(bounds)
+        out = [{}]
+        for _ in range(count):
+            chosen = rng.sample(names, rng.randint(1, len(names)))
+            out.append(
+                {
+                    name: rng.randint(bounds[name][0] - 1, bounds[name][1] + 1)
+                    for name in chosen
+                }
+            )
+        return out
+
+    @pytest.mark.parametrize(
+        "build", [paper_rules, zoom2net_manual_rules, domain_bound_rules]
+    )
+    def test_builtin_packs(self, build):
+        self._check(build(CONFIG), BOUNDS, [PROMPT] + self._assignments(BOUNDS, 5, 40))
+
+    def test_mined_packs(self, mined_context):
+        bounds = variable_bounds(mined_context.dataset.config)
+        prompts = [
+            {name: window.variables()[name] for name in COARSE_FIELDS}
+            for window in mined_context.test_windows()[:10]
+        ]
+        for rules in (mined_context.imputation_rules, mined_context.synthesis_rules):
+            self._check(rules, bounds, prompts + self._assignments(bounds, 7, 20))
+
+    def test_corner_pack(self):
+        assignments = self._assignments(dict(CORNER_BOUNDS, w=(-1, 4)), 3, 300)
+        for always_false in (True, False):
+            for off_schema in (True, False):
+                rules = _corner_rules(always_false, off_schema)
+                self._check(rules, CORNER_BOUNDS, assignments)
+
+    @pytest.mark.parametrize("off_schema", [True, False])
+    def test_corner_pack_states_match_reference(self, off_schema, propagation_log):
+        prompts = [{}, {"x": 1}, {"y": 1}, {"z": 1}, {"x": 0, "z": 2}, {"y": 0}]
+        rules = _corner_rules(always_false=False, off_schema=off_schema)
+        for seed in range(40):
+            _drive(rules, CORNER_BOUNDS, prompts, seed, fixes_per_record=3)
+        assert propagation_log and all(propagation_log)

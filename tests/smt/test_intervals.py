@@ -269,3 +269,125 @@ def test_run_matches_reference_kernel(cons, extra, initial, limit):
     mine, theirs = results
     assert (mine.feasible, mine.converged) == (theirs.feasible, theirs.converged)
     assert mine.domain == theirs.domain
+
+
+# -- warm starts: a derived query restarted from its parent's fixpoint --------
+
+
+def _prepared(cons):
+    """``cons`` normalized as PreparedSystem would; None if one is ground-false."""
+    rows = []
+    if not intervals._normalize_all(cons, rows):
+        return None
+    return rows
+
+
+def _warm_case(base_cons, fresh_cons, extra, data):
+    """A converged parent run and a derived query, with a warm start for it.
+
+    The parent system runs cold from the box.  The derived query pins one
+    variable inside the parent's fixpoint, adds ``fresh_cons`` to the
+    system (the rows a fold built) and ``extra`` to the run; its start
+    lies anywhere between the parent's fixpoint, narrowed to the pinned
+    box, and the pinned box.  Queued: the rows watching a variable whose
+    start differs from the parent's fixpoint, the fresh rows and the
+    extras.
+    """
+    rows, fresh = _prepared(bounded() + base_cons), _prepared(fresh_cons)
+    assume(rows is not None and fresh is not None)
+    box = {name: Interval(-6, 6) for name in VARS}
+    parent = PreparedSystem.of_normalized(rows).run(box)
+    assume(parent.feasible and parent.converged)
+    name = data.draw(st.sampled_from(VARS))
+    value = data.draw(
+        st.integers(parent.domain[name].lower, parent.domain[name].upper)
+    )
+    pinned = dict(box)
+    pinned[name] = Interval(value, value)
+    start, changed = {}, []
+    for var in VARS:
+        low = max(pinned[var].lower, parent.domain[var].lower)
+        high = min(pinned[var].upper, parent.domain[var].upper)
+        start[var] = Interval(
+            data.draw(st.integers(pinned[var].lower, low)),
+            data.draw(st.integers(high, pinned[var].upper)),
+        )
+        if start[var] != parent.domain[var]:
+            changed.append(var)
+    derived = PreparedSystem.of_normalized(rows + fresh)
+    warm = (start, changed, range(len(rows), len(rows) + len(fresh)))
+    return derived, pinned, warm
+
+
+@given(
+    st.lists(con_strategy, min_size=1, max_size=6),
+    st.lists(con_strategy, max_size=2),
+    st.lists(con_strategy, max_size=2),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_warm_run_matches_cold_run(base_cons, fresh_cons, extra, data):
+    """Narrowing is monotone, so a converged run started anywhere between
+    the fixpoint and the initial domain, with every row that may be
+    unstable there queued, reaches the cold run's fixpoint."""
+    derived, pinned, warm = _warm_case(base_cons, fresh_cons, extra, data)
+    cold = derived.run(pinned, extra)
+    assume(cold.converged)
+    result = derived.run(pinned, extra, warm)
+    assert result.converged
+    assert result.feasible == cold.feasible
+    if cold.feasible:
+        assert result.domain == cold.domain
+
+
+@given(
+    st.lists(con_strategy, min_size=1, max_size=6),
+    st.lists(con_strategy, max_size=2),
+    st.lists(con_strategy, max_size=2),
+    st.data(),
+    st.integers(1, 40),
+)
+@settings(max_examples=200, deadline=None)
+def test_capped_warm_run_falls_back_to_cold(
+    base_cons, fresh_cons, extra, data, limit
+):
+    """A warm run that stops at the iteration cap is discarded: the result
+    is then the cold run's, capped or not, step for step."""
+    derived, pinned, warm = _warm_case(base_cons, fresh_cons, extra, data)
+    solves = []
+    real_solve = intervals._solve
+
+    def solve(*args):
+        solves.append(real_solve(*args))
+        return solves[-1]
+
+    with mock.patch.object(intervals, "_WIDEN_LIMIT", limit):
+        cold = derived.run(pinned, extra)
+        with mock.patch.object(intervals, "_solve", solve):
+            result = derived.run(pinned, extra, warm)
+    if not solves:  # a ground-false extra refutes before any run
+        assert not result.feasible and not cold.feasible
+    elif solves[0].converged:
+        assert len(solves) == 1
+        if cold.converged:
+            assert result.feasible == cold.feasible
+            if cold.feasible:
+                assert result.domain == cold.domain
+    else:
+        assert len(solves) == 2
+        assert (result.feasible, result.converged) == (
+            cold.feasible,
+            cold.converged,
+        )
+        assert result.domain == cold.domain
+
+
+def test_of_normalized_indexes_rows_as_given():
+    rows = [
+        LinCon.make({"x": 1, "y": 1}, -4, "<="),
+        LinCon.make({"y": 1}, -1, "=="),
+    ]
+    system = PreparedSystem.of_normalized(rows)
+    assert system.active is rows
+    assert system.watch == {"x": [0], "y": [0, 1]}
+    assert system.run().domain == PreparedSystem(rows).run().domain
