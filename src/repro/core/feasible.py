@@ -286,6 +286,64 @@ def compiled_pack(rules: RuleSet) -> Tuple[PackEntry, ...]:
     return pack
 
 
+def _entailed(items, const: int, box: Bounds, schema: Bounds) -> bool:
+    """True when ``sum(coeff*name) + const <= 0`` holds on all of ``box``:
+    every name is a schema variable and the row's maximum activity over
+    ``box`` is at most 0."""
+    total = const
+    for name, coeff in items:
+        if name not in schema:
+            return False
+        low, high = box[name]
+        total += coeff * (high if coeff > 0 else low)
+    return total <= 0
+
+
+def _entailed_or(formula: Formula, box: Bounds, schema: Bounds) -> bool:
+    """True when ``formula`` is an Or with a direct ``<=`` atom entailed by
+    ``box`` (see :func:`_entailed`)."""
+    return isinstance(formula, Or) and any(
+        isinstance(arg, Atom)
+        and arg.op == "<="
+        and _entailed(arg.expr.items, arg.expr.const, box, schema)
+        for arg in formula.args
+    )
+
+
+# rules -> (its compiled pack, the bounds, the view)
+_VIEWS: "weakref.WeakKeyDictionary[RuleSet, Tuple[Tuple, Dict, Tuple]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def interval_pack(rules: RuleSet, bounds: Bounds) -> Tuple[PackEntry, ...]:
+    """:func:`compiled_pack` without the rules ``bounds`` entail.
+
+    A ``<=`` row, or an Or with a direct ``<=`` atom, whose maximum
+    activity over the schema bounds is at most 0 can never narrow a
+    bound, before or after any in-bounds substitution.  The interval tier
+    folds from this view; the solver still asserts the whole pack.
+    Memoized per rule set for its last bounds, and rebuilt when the pack
+    is.
+    """
+    pack = compiled_pack(rules)
+    cached = _VIEWS.get(rules)
+    if cached is not None and cached[0] is pack and cached[1] == bounds:
+        return cached[2]
+    live: List[PackEntry] = []
+    for entry in pack:
+        row, tree, _ = entry
+        if row is None:
+            if _entailed_or(tree, bounds, bounds):
+                continue
+        elif row.op == "<=" and _entailed(row.items, row.const, bounds, bounds):
+            continue
+        live.append(entry)
+    view = tuple(live)
+    _VIEWS[rules] = (pack, dict(bounds), view)
+    return view
+
+
 class _Fold:
     """One fold of residual rows into the interval tier's normal form.
 
@@ -341,7 +399,10 @@ class _Fold:
             elif row.op != "<=":
                 eqs.append(row)
             else:  # a folded row is the strongest of its form: only a
-                # substituted row met earlier can share the form
+                # substituted row met earlier can share the form.  A row
+                # retired as entailed is gone, so a substituted row that
+                # takes its form lands at its own place, not the retired
+                # row's (an order change only a capped run could see).
                 seen = forms.get(row.items)
                 if seen is None or row.const > seen.const:
                     forms[row.items] = row
@@ -848,6 +909,22 @@ def _conjuncts(node: Formula, out: List[LinCon]) -> bool:
     return False
 
 
+def _live(
+    box: Bounds, schema: Bounds, rows: List[LinCon], disjunctive: List[Disjunct]
+) -> Tuple[List[LinCon], List[Disjunct]]:
+    """The rows and disjunctions that can still narrow a bound on ``box``:
+    every ``<=`` row and every Or that ``box`` entails drops out (see
+    :func:`_entailed`)."""
+    return (
+        [
+            row
+            for row in rows
+            if row.op != "<=" or not _entailed(row.items, row.const, box, schema)
+        ],
+        [item for item in disjunctive if not _entailed_or(item[0], box, schema)],
+    )
+
+
 def _row_formula(row: LinCon) -> Formula:
     """A folded row as the formula the solver asserts."""
     if row.is_ground():
@@ -859,11 +936,14 @@ class IntervalOracle(FeasibilityOracle):
     """Bounds-propagation tier: fast, sound for pruning, incomplete.
 
     ``begin_record`` residualizes the rule set's compiled pack (built once
-    per rule set) and folds the result (:class:`_Fold`): single-variable
-    residual constraints collapse into a per-variable *box*, multi-variable
-    ones keep only the strongest bound per linear form, and disjunctive
-    residuals are held back symbolically (they only inform propagation once
-    all but one branch dies).
+    per rule set), less the rules the schema bounds entail
+    (:func:`interval_pack`), and folds the result (:class:`_Fold`):
+    single-variable residual constraints collapse into a per-variable
+    *box*, multi-variable ones keep only the strongest bound per linear
+    form, and disjunctive residuals are held back symbolically (they only
+    inform propagation once all but one branch dies).  Every state then
+    drops the rows and disjunctions its own box entails (:func:`_live`):
+    boxes only narrow along a fix path, so those can never narrow again.
 
     Every later state derives from its parent.  A ``fix`` substitutes into
     and refolds only the rows holding the fixed variable (found through the
@@ -946,7 +1026,8 @@ class IntervalOracle(FeasibilityOracle):
         self.fixed = {k: int(v) for k, v in (fixed or {}).items()}
         self._reset_state_key(self.fixed)
         if not self._restore_istate():
-            folded = fold_pack(compiled_pack(self.rules), self.fixed, True, self.bounds)
+            pack = interval_pack(self.rules, self.bounds)
+            folded = fold_pack(pack, self.fixed, True, self.bounds)
             self._refuted = folded is None or not self._adopt(*folded)
             if self._refuted:
                 self._set_state(dict(self.bounds), [], [])
@@ -968,7 +1049,7 @@ class IntervalOracle(FeasibilityOracle):
                 return False
         if fold.refuted():
             return False
-        self._set_state(box, fold.folded_rows(), disjunctive)
+        self._set_state(box, *_live(box, self.bounds, fold.folded_rows(), disjunctive))
         return True
 
     def _prepared_system(self) -> PreparedSystem:
@@ -1130,15 +1211,17 @@ class IntervalOracle(FeasibilityOracle):
             if not fold.tree(formula, names, disjunctive, True):
                 self._refuted = True
                 return
-        # The fixed value must lie in its schema bounds (no row holds the
-        # variable any more, so the fold cannot tighten it).  The fold
-        # starts from the schema bounds; the parent's box keeps every
-        # earlier tightening, so only this fold's names can move.
-        low, high = self.bounds.get(variable, (value, value))
+        # A schema variable's value must lie in its parent's box (no row
+        # holds the variable any more, so the fold cannot tighten it); then
+        # every box on a fix path only narrows, which retiring entailed
+        # rows relies on.  The fold starts from the schema bounds; the
+        # parent's box keeps every earlier tightening, so only this fold's
+        # names can move.
+        parent = self._box
+        low, high = parent[variable] if variable in self.bounds else (value, value)
         if fold.refuted() or not low <= value <= high:
             self._refuted = True
             return
-        parent = self._box
         box = dict(parent)
         if len(box) != len(self.bounds):  # off-schema names: refolded only
             box = {name: b for name, b in box.items() if name in self.bounds}
@@ -1153,7 +1236,7 @@ class IntervalOracle(FeasibilityOracle):
             box[name] = merged = (max(low, prev_low), min(high, prev_high))
             if merged[0] > merged[1] and name not in self.fixed:
                 emptied = True
-        self._set_state(box, fold.folded_rows(), disjunctive)
+        self._set_state(box, *_live(box, self.bounds, fold.folded_rows(), disjunctive))
         self._refuted = emptied
         # A dropped off-schema bound widens this state's initial domain
         # past the confirmation's, which then no longer holds the fixpoint.

@@ -1,5 +1,6 @@
 """Feasibility oracle tests: exactness of SMT, soundness of intervals."""
 
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from repro.core.feasible import (
     _substitute_simplify,
     compiled_pack,
     fold_pack,
+    interval_pack,
     residualize,
 )
 from repro.core.transition import FeasibleSet
@@ -338,6 +340,11 @@ class ReferenceIntervalOracle:
         self.fixed[variable] = value
         if self.refuted:
             return
+        if variable in self.bounds:
+            low, high = self.box[variable]
+            if not low <= value <= high:
+                self.refuted = True
+                return
         formulas = []
         for con in self.multi:
             expr = LinExpr(dict(con.items), con.const)
@@ -419,15 +426,58 @@ def propagation_log(monkeypatch):
     return log
 
 
+def _box_entails(box, bounds, expr_items, const):
+    """Whether ``sum(coeff*name) + const <= 0`` holds at every corner of
+    ``box`` (so on all of it), for a row over schema variables only."""
+    names = [name for name, _ in expr_items]
+    if not all(name in bounds for name in names):
+        return False
+    coeffs = dict(expr_items)
+    for corner in itertools.product(*[box[name] for name in names]):
+        if sum(coeffs[name] * v for name, v in zip(names, corner)) + const > 0:
+            return False
+    return True
+
+
+def _retired(row_or_formula, box, bounds):
+    """Whether the interval tier may drop a row or a disjunction: a ``<=``
+    row, or an Or with a direct ``<=`` atom, that ``box`` entails."""
+    if isinstance(row_or_formula, LinCon):
+        return row_or_formula.op == "<=" and _box_entails(
+            box, bounds, row_or_formula.items, row_or_formula.const
+        )
+    return isinstance(row_or_formula, Or) and any(
+        isinstance(arg, Atom)
+        and arg.op == "<="
+        and _box_entails(box, bounds, arg.expr.items, arg.expr.const)
+        for arg in row_or_formula.args
+    )
+
+
 def _assert_same_state(oracle, reference, bounds):
     assert oracle._refuted == reference.refuted
     if not reference.refuted:
-        assert oracle._box == reference.box
-        assert oracle._multi_cons == reference.multi
-        assert [formula for formula, _ in oracle._disjunctive] == reference.disjunctive
+        box = reference.box
+        assert oracle._box == box
+        # The oracle holds the reference's rows and disjunctions less the
+        # ones its box entails, and every row it dropped narrows nothing.
+        initial = oracle._initial_domain()
+        live = []
+        for row in reference.multi:
+            if _retired(row, box, bounds):
+                assert intervals._propagate_one(row, dict(initial)) == []
+            else:
+                live.append(row)
+        assert oracle._multi_cons == live
+        assert [formula for formula, _ in oracle._disjunctive] == [
+            formula
+            for formula in reference.disjunctive
+            if not _retired(formula, box, bounds)
+        ]
         # The state's domain -- warm-started when a fix follows a SAT
-        # confirmation of its value -- is the cold run's over its rows.
-        cold = PreparedSystem(oracle._multi_cons).run(oracle._initial_domain())
+        # confirmation of its value -- is the cold run's over the
+        # reference's full rows.
+        cold = PreparedSystem(reference.multi).run(initial)
         assert oracle._state_domain() == (cold.domain if cold.feasible else None)
     for variable, (low, high) in bounds.items():
         if variable in reference.fixed:
@@ -499,6 +549,52 @@ class TestCompiledIntervalTier:
         _drive(rules, bounds, prompts, seed=11, fixes_per_record=5)
         assert propagation_log and all(propagation_log)
 
+    def test_fix_outside_parent_box_refutes(self):
+        """A fixed value outside its parent's box refutes the child, as the
+        solver does, even where the schema bounds admit it."""
+        x, y = IntVar("x"), IntVar("y")
+        rules = RuleSet(
+            [
+                Rule("cap-x", Le(x, 5), kind="test"),
+                Rule("sum", Le(x + y, 50), kind="test"),
+            ]
+        )
+        bounds = {"x": (0, 100), "y": (0, 100)}
+        smt = SmtOracle(rules, bounds)
+        smt.begin_record({})
+        smt.fix("x", 20)
+        assert smt.feasible_set("y").is_empty()
+        oracle = IntervalOracle(rules, bounds)
+        oracle.begin_record({})
+        oracle.fix("x", 20)
+        assert oracle.feasible_set("y").is_empty()
+        assert not oracle.confirm("y", 0)
+        reference = ReferenceIntervalOracle(rules, bounds)
+        reference.begin_record({})
+        reference.fix("x", 20)
+        assert reference.refuted
+        _assert_same_state(oracle, reference, bounds)
+
+    def test_interval_pack_drops_what_the_bounds_entail(self):
+        x, y, w = IntVar("x"), IntVar("y"), IntVar("w")
+        rules = RuleSet(
+            [
+                Rule("loose-sum", Le(x + y, 20), kind="test"),
+                Rule("tight-sum", Le(x + y, 5), kind="test"),
+                Rule("loose-or", Or(Le(x, 10), Ge(x + y, 3)), kind="test"),
+                Rule("tight-or", Or(Le(x, 4), Ge(y, 3)), kind="test"),
+                Rule("equal", Eq(x, y), kind="test"),
+                Rule("off-schema", Le(w + x, 100), kind="test"),
+            ]
+        )
+        bounds = {"x": (0, 10), "y": (0, 10)}
+        pack = compiled_pack(rules)
+        view = interval_pack(rules, bounds)
+        assert interval_pack(rules, dict(bounds)) is view
+        assert view == tuple(pack[i] for i in (1, 3, 4, 5))
+        wider = interval_pack(rules, {"x": (0, 20), "y": (0, 10)})
+        assert wider == pack
+
     def test_rule_added_after_compiling_recompiles(self):
         rules = paper_rules(CONFIG)
         pack = compiled_pack(rules)
@@ -516,8 +612,9 @@ def _corner_rules(always_false=True, off_schema=True):
     """Rows whose normalization, substitution and folding take every path:
     gcd > 1 before and after substitution, an always-false ``==`` (which
     refutes every record), single-variable rows of every op, repeated
-    forms, rows over an off-schema variable ``w``, and conjunctions
-    harvested from residual disjunctions."""
+    forms, rows over an off-schema variable ``w`` (one entailed only
+    through ``w``'s bound), and conjunctions harvested from residual
+    disjunctions."""
     x, y, z, w = IntVar("x"), IntVar("y"), IntVar("z"), IntVar("w")
     formulas = [
         Le(3 * x + 6 * y, 12),
@@ -541,6 +638,9 @@ def _corner_rules(always_false=True, off_schema=True):
             Eq(3 * x + 2 * y + 4 * z - 3 * w, 8),
             Le(w, 3),
             Ge(w + x, -2),
+            # Entailed only through w's bound, which a child's fold drops:
+            # the row must not retire.
+            Le(w + x, 9),
         ]
     if always_false:
         formulas.append(Eq(2 * x + 2 * y, 1))

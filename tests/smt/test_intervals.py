@@ -382,6 +382,48 @@ def test_capped_warm_run_falls_back_to_cold(
         assert result.domain == cold.domain
 
 
+def _entailed_by(row, domain):
+    """Whether ``domain`` (bounded on every row variable) entails a ``<=``
+    row: its maximum activity there is at most 0."""
+    if row.op != "<=":
+        return False
+    total = row.const
+    for name, coeff in row.items:
+        interval = domain[name]
+        total += coeff * (interval.upper if coeff > 0 else interval.lower)
+    return total <= 0
+
+
+@given(
+    st.lists(con_strategy, min_size=1, max_size=6),
+    st.lists(con_strategy, max_size=2),
+    st.lists(con_strategy, max_size=2),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_entailed_rows_retire(base_cons, fresh_cons, extra, data):
+    """Dropping every ``<=`` row the initial domain entails changes no run,
+    cold or warm: such a row narrows nothing on any sub-domain.  The box
+    rows of ``bounded()`` are always among the dropped."""
+    derived, pinned, warm = _warm_case(base_cons, fresh_cons, extra, data)
+    keep = [
+        index
+        for index, row in enumerate(derived.active)
+        if not _entailed_by(row, pinned)
+    ]
+    assert len(keep) < len(derived.active)
+    retired = PreparedSystem.of_normalized([derived.active[i] for i in keep])
+    position = {index: new for new, index in enumerate(keep)}
+    start, changed, rows = warm
+    retired_warm = (start, changed, [position[i] for i in rows if i in position])
+    for full_start, kept_start in ((None, None), (warm, retired_warm)):
+        full = derived.run(pinned, extra, full_start)
+        kept = retired.run(pinned, extra, kept_start)
+        assert (kept.feasible, kept.converged) == (full.feasible, full.converged)
+        if full.feasible:
+            assert kept.domain == full.domain
+
+
 def test_of_normalized_indexes_rows_as_given():
     rows = [
         LinCon.make({"x": 1, "y": 1}, -4, "<="),
