@@ -22,6 +22,7 @@ Three implementations realize the solver-tier ablation of DESIGN.md:
 
 from __future__ import annotations
 
+import threading
 import weakref
 from math import gcd
 from dataclasses import dataclass
@@ -248,12 +249,23 @@ Disjunct = Tuple[Formula, FrozenSet[str]]
 # for any other.
 PackEntry = Tuple[Optional[LinCon], Optional[Formula], FrozenSet[str]]
 
-_PACKS: "weakref.WeakKeyDictionary[RuleSet, Tuple[int, Tuple[PackEntry, ...]]]" = (
+
+class _Pack(tuple):
+    """A compiled pack: its entries in rule order, plus the begin folds
+    generated for it (:func:`fold_pack`), which live and die with it."""
+
+    def __new__(cls, entries):
+        pack = super().__new__(cls, entries)
+        pack.folds = {}
+        return pack
+
+
+_PACKS: "weakref.WeakKeyDictionary[RuleSet, Tuple[int, _Pack]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def compiled_pack(rules: RuleSet) -> Tuple[PackEntry, ...]:
+def compiled_pack(rules: RuleSet) -> _Pack:
     """The rule set lowered once for repeated residualization.
 
     Each :class:`~repro.smt.Atom` rule becomes one linear row (a
@@ -281,7 +293,7 @@ def compiled_pack(rules: RuleSet) -> Tuple[PackEntry, ...]:
                 entries.append((row, None, names))
                 continue
         entries.append((None, simplify(to_nnf(formula)), names))
-    pack = tuple(entries)
+    pack = _Pack(entries)
     _PACKS[rules] = (len(rules), pack)
     return pack
 
@@ -316,7 +328,7 @@ _VIEWS: "weakref.WeakKeyDictionary[RuleSet, Tuple[Tuple, Dict, Tuple]]" = (
 )
 
 
-def interval_pack(rules: RuleSet, bounds: Bounds) -> Tuple[PackEntry, ...]:
+def interval_pack(rules: RuleSet, bounds: Bounds) -> _Pack:
     """:func:`compiled_pack` without the rules ``bounds`` entail.
 
     A ``<=`` row, or an Or with a direct ``<=`` atom, whose maximum
@@ -339,7 +351,7 @@ def interval_pack(rules: RuleSet, bounds: Bounds) -> Tuple[PackEntry, ...]:
         elif row.op == "<=" and _entailed(row.items, row.const, bounds, bounds):
             continue
         live.append(entry)
-    view = tuple(live)
+    view = _Pack(live)
     _VIEWS[rules] = (pack, dict(bounds), view)
     return view
 
@@ -356,10 +368,11 @@ class _Fold:
     raise its gcd.  A ground-false row (an ``==`` whose gcd does not divide
     its constant) leaves the marker ``normalized()`` returns in its place.
 
-    ``SmtOracle.begin_record`` (without harvesting), ``IntervalOracle.
-    begin_record`` and ``IntervalOracle.fix`` all fold through this class,
-    so the solver's assertion order and the interval tier's rows come from
-    one implementation.
+    ``IntervalOracle.fix`` folds through this class.  A begin fold
+    (:func:`fold_pack`, for ``SmtOracle.begin_record`` without harvesting
+    and ``IntervalOracle.begin_record`` with it) runs code generated from
+    the pack that fills one with the same box, rows and disjunctions, and
+    calls its methods for any entry the generator does not lower.
     """
 
     __slots__ = ("bounds", "tight", "rows", "forms", "fresh")
@@ -500,12 +513,11 @@ class _Fold:
         else:
             self.rows.append(row)
 
-    def box(self) -> Dict[str, Tuple[int, int]]:
-        """The schema bounds with this fold's tightenings, closed (an
-        off-schema name's open end closes at 0)."""
+    def box(self) -> Dict[str, Tuple[Optional[int], Optional[int]]]:
+        """The schema bounds with this fold's tightenings.  An off-schema
+        name keeps an end no row bounds open (None)."""
         box = dict(self.bounds)
-        for name, (low, high) in self.tight.items():
-            box[name] = (0 if low is None else low, 0 if high is None else high)
+        box.update(self.tight)
         return box
 
     def refuted(self) -> bool:
@@ -519,7 +531,7 @@ class _Fold:
 
 
 def fold_pack(
-    pack: Tuple[PackEntry, ...],
+    pack: _Pack,
     fixed: Mapping[str, int],
     harvest: bool,
     bounds: Bounds,
@@ -529,23 +541,330 @@ def fold_pack(
     Returns the fold and the residual disjunctions in rule order, or None
     when a rule is refuted.  Rules that residualize to TRUE drop out; a
     row that holds no fixed variable is folded as it is.
+
+    What a rule folds to depends on *which* names ``fixed`` holds far more
+    than on their values, so each pack is lowered once per fixed-name
+    signature (and ``harvest`` and ``bounds``) into one generated function
+    (:class:`_FoldSource`) that does only the value-dependent integer
+    work.  It returns the box, rows and disjunctions the rule-by-rule fold
+    (``_Fold.keep``/``substitute``/``tree`` per entry, in pack order) would
+    return, in the same order; only ``fresh``, which a begin fold's caller
+    never reads, is not collected.  The functions are kept on the pack,
+    at most ``_MAX_FOLDS`` of them, the oldest regenerated when needed.
     """
-    fold = _Fold(bounds)
-    disjunctive: List[Disjunct] = []
-    for row, tree, names in pack:
-        if names.isdisjoint(fixed):
-            if row is not None:
-                fold.keep(row)
-            elif not fold.tree(tree, names, disjunctive, harvest):
-                return None
-        elif row is not None:
-            if not fold.substitute(row, fixed):
-                return None
-        elif not fold.tree(
-            _substitute_simplify(tree, fixed), names, disjunctive, harvest
-        ):
-            return None
-    return fold, disjunctive
+    key = (frozenset(fixed), harvest, tuple(bounds.items()))
+    fold = pack.folds.get(key)
+    if fold is None:
+        with _FOLDS_LOCK:
+            fold = pack.folds.get(key)
+            if fold is None:
+                fold = _FoldSource(key[0], harvest, bounds).lower(pack)
+                pack.folds[key] = fold
+                while len(pack.folds) > _MAX_FOLDS:
+                    del pack.folds[next(iter(pack.folds))]
+    return fold(fixed)
+
+
+# Generated begin folds kept per pack: one per fixed-name signature seen,
+# so a long-lived server that sees many signatures regenerates the oldest.
+_MAX_FOLDS = 32
+_FOLDS_LOCK = threading.Lock()
+# Terms per lowered row or atom; a longer sum folds through a method call,
+# since the compiler recurses once per ``+``.
+_MAX_TERMS = 256
+
+
+class _FoldSource:
+    """The source of one generated begin fold; :meth:`lower` compiles it.
+
+    Entries are lowered in pack order, so every row, form and disjunction
+    lands where the rule-by-rule fold puts it:
+
+    * an entry that shares no name with the signature contributes the same
+      thing to every record, so it is folded once, here, through a scratch
+      :class:`_Fold`: its box tightenings go into the function's starting
+      box, and its rows and disjunctions become appends of the very objects
+      that fold built;
+    * a row holding fixed names becomes integer arithmetic on local copies
+      of their values: a ground check that returns None, a bound, or a row;
+    * an Or whose atoms are each ground or untouched by the signature
+      becomes a guard: when no ground atom holds, the residual is the same
+      formula for every record, folded here like an untouched entry;
+    * anything else -- other trees, and every entry over a name outside
+      ``bounds`` (the box keeps those in first-touch order) -- becomes a
+      call of the matching ``_Fold`` method on the fold being built.
+
+    Each name the function bounds lives in two locals, merged at the end
+    with what any method call put into the fold's box; the box is a
+    pointwise min/max, so only off-schema names' order depends on the
+    order of tightening, and only method calls touch those.  The source
+    holds fixed syntax, ``int`` literals, ``repr()``-quoted names and
+    generated local names only; every object it uses is a constant of the
+    function's namespace.
+    """
+
+    def __init__(self, signature: FrozenSet[str], harvest: bool, bounds: Bounds):
+        self.signature = signature
+        self.harvest = harvest
+        self.bounds = dict(bounds)
+        self.plain_bounds = {
+            name for name, (low, high) in self.bounds.items()
+            if type(low) is int and type(high) is int
+        }
+        self.body: List[str] = []
+        self.namespace: Dict[str, object] = {}
+        self.values: Dict[str, str] = {}  # fixed name -> its local
+        # name -> its locals' index and starting [low, high]
+        self.boxed: Dict[str, Tuple[int, List[int]]] = {}
+        # The forms the fold may hold so far; None once a method call may
+        # have placed any.
+        self.held: Optional[set] = set()
+        self.called: set = set()  # names of entries folded by method calls
+        self.refuted = False
+
+    def lower(self, pack: _Pack):
+        for row, tree, names in pack:
+            if self.refuted:
+                break
+            self._entry(row, tree, names)
+        head = ["def fold(f):"]
+        head += [f"    {local} = f[{name!r}]" for name, local in self.values.items()]
+        for name, (index, (low, high)) in self.boxed.items():
+            head.append(f"    l{index} = {low!r}; h{index} = {high!r}")
+        head += [
+            "    fold = Fold(B)",
+            "    rows = fold.rows",
+            "    forms = fold.forms",
+            "    disj = []",
+        ]
+        tail = []
+        if not self.refuted:  # else the body ends in its return
+            tail.append("    t = fold.tight")
+            for name, (index, _) in self.boxed.items():
+                if name in self.called:
+                    tail += [
+                        f"    p = t.get({name!r})",
+                        "    if p is not None:",
+                        f"        if p[0] > l{index}: l{index} = p[0]",
+                        f"        if p[1] < h{index}: h{index} = p[1]",
+                    ]
+                tail.append(f"    t[{name!r}] = (l{index}, h{index})")
+            tail.append("    return fold, disj")
+        source = "\n".join(head + self.body + tail)
+        self.namespace.update(
+            __builtins__={}, Fold=_Fold, B=self.bounds, LinCon=LinCon,
+            substitute=_substitute_simplify,
+        )
+        exec(compile(source, "<begin-fold>", "exec"), self.namespace)
+        return self.namespace["fold"]
+
+    # -- helpers ---------------------------------------------------------------
+
+    def _emit(self, depth: int, line: str) -> None:
+        self.body.append("    " * depth + line)
+
+    def _const(self, value: object) -> str:
+        name = f"K{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def _value(self, name: str) -> str:
+        local = self.values.get(name)
+        if local is None:
+            local = self.values[name] = f"v{len(self.values)}"
+        return local
+
+    def _slot(self, name: str) -> Tuple[int, List[int]]:
+        slot = self.boxed.get(name)
+        if slot is None:
+            slot = self.boxed[name] = (len(self.boxed), list(self.bounds[name]))
+        return slot
+
+    def _linear(self, const: int, items) -> str:
+        """Source of ``const + sum(coeff * value)`` over fixed names."""
+        source = repr(const) if const or not items else ""
+        for name, coeff in items:
+            term = self._value(name)
+            if abs(coeff) != 1:
+                term = f"{abs(coeff)!r} * {term}"
+            if coeff < 0:
+                source += f" - {term}" if source else f"-{term}"
+            else:
+                source += f" + {term}" if source else term
+        return f"({source})"
+
+    def _plain(self, names, numbers) -> bool:
+        """Whether an entry can be lowered: str names, the free ones all
+        bounded by ``int`` bounds, and ``int`` numbers, few enough for
+        the compiler to nest."""
+        return (
+            all(
+                type(name) is str
+                and (name in self.signature or name in self.plain_bounds)
+                for name in names
+            )
+            and len(numbers) <= _MAX_TERMS
+            and all(type(number) is int for number in numbers)
+        )
+
+    # -- entries ---------------------------------------------------------------
+
+    def _entry(self, row, tree, names) -> None:
+        touched = not names.isdisjoint(self.signature)
+        if row is not None:
+            numbers = [row.const] + [coeff for _, coeff in row.items]
+            if not self._plain(names, numbers):
+                self._call(row, tree, names, touched)
+            elif touched:
+                self._row(row)
+            else:
+                self._static(lambda fold, _: fold.keep(row) or True)
+            return
+        if not self._plain(names, ()):
+            self._call(row, tree, names, touched)
+        elif not touched or isinstance(tree, BoolConst):
+            self._static(lambda fold, disj: fold.tree(tree, names, disj, self.harvest))
+        elif not (isinstance(tree, Or) and self._guard(tree, names)):
+            self._call(row, tree, names, touched)
+
+    def _call(self, row, tree, names, touched) -> None:
+        """Fold the entry through a ``_Fold`` method call, as it stands."""
+        self.called |= names
+        self.held = None
+        if row is not None:
+            if touched:
+                self._emit(1, f"if not fold.substitute({self._const(row)}, f): return None")
+            else:
+                self._emit(1, f"fold.keep({self._const(row)})")
+            return
+        source = self._const(tree)
+        if touched:
+            source = f"substitute({source}, f)"
+        self._emit(
+            1,
+            f"if not fold.tree({source}, {self._const(names)}, disj, "
+            f"{self.harvest!r}): return None",
+        )
+
+    def _static(self, apply, guarded: bool = False) -> None:
+        """Emit what ``apply(fold, disjunctive)`` folds, the same for every
+        record; ``guarded`` when it runs under a guard's condition."""
+        depth = 2 if guarded else 1
+        scratch = _Fold(self.bounds)
+        disjunctive: List[Disjunct] = []
+        if not apply(scratch, disjunctive):
+            self._emit(depth, "return None")
+            self.refuted = not guarded
+            return
+        for name, (low, high) in scratch.tight.items():
+            index, start = self._slot(name)
+            if guarded:
+                if low > self.bounds[name][0]:
+                    self._emit(depth, f"if l{index} < {low!r}: l{index} = {low!r}")
+                if high < self.bounds[name][1]:
+                    self._emit(depth, f"if h{index} > {high!r}: h{index} = {high!r}")
+            else:
+                start[0], start[1] = max(start[0], low), min(start[1], high)
+        for row in scratch.rows:
+            self._emit(depth, f"rows.append({self._const(row)})")
+        for form, row in scratch.forms.items():
+            self._place(form, row.const, self._const(row), depth)
+        for item in disjunctive:
+            self._emit(depth, f"disj.append({self._const(item)})")
+
+    def _place(self, form, const: Optional[int], row: str, depth: int) -> None:
+        """Emit the placement of a ``<=`` row as the strongest of its form:
+        ``row`` names a static row of constant ``const``, or with ``const``
+        None builds one whose constant is in the local ``c``."""
+        key = self._const(form)
+        if self.held is not None and form not in self.held:
+            self._emit(depth, f"forms[{key}] = {row}")
+            self.held.add(form)
+        else:
+            weaker = "c" if const is None else repr(const)
+            self._emit(depth, f"s = forms.get({key})")
+            self._emit(depth, f"if s is None or s.const < {weaker}: forms[{key}] = {row}")
+
+    def _row(self, row: LinCon) -> None:
+        """A row holding fixed names: integer arithmetic on their values."""
+        fixed = [(name, coeff) for name, coeff in row.items if name in self.signature]
+        rest = tuple(
+            (name, coeff) for name, coeff in row.items if name not in self.signature
+        )
+        op = row.op
+        if not rest:
+            false = "> 0" if op == "<=" else "!= 0"
+            self._emit(1, f"if {self._linear(row.const, fixed)} {false}: return None")
+        elif op == "<=" and len(rest) == 1:
+            self._bound(rest[0], row.const, fixed)
+        else:
+            self._emit(1, f"c = {self._linear(row.const, fixed)}")
+            g = gcd(*[coeff for _, coeff in rest])
+            if g > 1:
+                rest = tuple((name, coeff // g) for name, coeff in rest)
+            form = self._const(rest)
+            if op == "<=":
+                if g > 1:
+                    self._emit(1, f"c = -((-c) // {g!r})")
+                self._place(rest, None, f"LinCon({form}, c, '<=')", 1)
+            elif g > 1:  # an ==, or the ground-false marker
+                self._emit(1, f"if c % {g!r}: rows.append(LinCon((), 1, '<='))")
+                self._emit(1, f"else: rows.append(LinCon({form}, c // {g!r}, '=='))")
+            else:
+                self._emit(1, f"rows.append(LinCon({form}, c, {op!r}))")
+
+    def _bound(self, item, const: int, fixed) -> None:
+        """``coeff*name + const + sum(fixed terms) <= 0`` into the box."""
+        name, coeff = item
+        index, _ = self._slot(name)
+        negated = self._linear(-const, [(n, -c) for n, c in fixed])
+        if coeff > 0:  # name <= floor(-total / coeff)
+            limit = negated if coeff == 1 else f"{negated} // {coeff!r}"
+            self._emit(1, f"x = {limit}")
+            self._emit(1, f"if x < h{index}: h{index} = x")
+        else:  # name >= ceil(total / -coeff)
+            limit = (
+                self._linear(const, fixed) if coeff == -1
+                else f"-({negated} // {-coeff!r})"
+            )
+            self._emit(1, f"x = {limit}")
+            self._emit(1, f"if x > l{index}: l{index} = x")
+
+    def _guard(self, tree: Or, names) -> bool:
+        """Lower an Or whose atoms are each ground or untouched; False when
+        it is not one."""
+        ground, kept = [], []
+        for arg in tree.args:
+            if not isinstance(arg, Atom):
+                return False
+            items = arg.expr.items
+            fixed = [item for item in items if item[0] in self.signature]
+            if not self._plain((), [arg.expr.const] + [c for _, c in items]):
+                return False
+            if len(fixed) == len(items):
+                ground.append(arg)
+            elif fixed:
+                return False
+            else:
+                kept.append(arg)
+        if not ground:  # substitution leaves the tree as it is
+            self._static(lambda fold, disj: fold.tree(tree, names, disj, self.harvest))
+            return True
+        parts = tuple(dict.fromkeys(kept))
+        residual = FALSE if not parts else parts[0] if len(parts) == 1 else Or(*parts)
+        test = " and ".join(
+            f"{self._linear(arg.expr.const, arg.expr.items)} "
+            f"{'> 0' if arg.op == '<=' else '!= 0'}"
+            for arg in ground
+        )
+        self._emit(1, f"if {test}:")
+        mark = len(self.body)
+        self._static(
+            lambda fold, disj: fold.tree(residual, names, disj, self.harvest), True
+        )
+        if len(self.body) == mark:
+            self.body.pop()
+        return True
 
 
 def _substitute_simplify(node: Formula, fixed: Mapping[str, int]) -> Formula:
@@ -793,15 +1112,18 @@ class SmtOracle(FeasibilityOracle):
         # token.
         for name, (low, high) in fold.box().items():
             if name in self.fixed:
-                if not low <= self.fixed[name] <= high:
+                if not _within(self.fixed[name], low, high):
                     raise InfeasibleRecordError(
                         f"fixed {name}={self.fixed[name]} outside [{low},{high}]"
                     )
                 continue
-            if low > high:
+            if _empty(low, high):
                 raise InfeasibleRecordError(f"empty folded domain for {name}")
-            self._solver.add(Le(low, IntVar(name)))
-            self._solver.add(Le(IntVar(name), high))
+            # An off-schema name's open end asserts nothing.
+            if low is not None:
+                self._solver.add(Le(low, IntVar(name)))
+            if high is not None:
+                self._solver.add(Le(IntVar(name), high))
         for row in fold.folded_rows():
             self._solver.add(_row_formula(row))
         for formula, _ in disjunctive:
@@ -925,6 +1247,15 @@ def _live(
     )
 
 
+def _within(value: int, low: Optional[int], high: Optional[int]) -> bool:
+    """``low <= value <= high``, where a None end is open."""
+    return (low is None or low <= value) and (high is None or value <= high)
+
+
+def _empty(low: Optional[int], high: Optional[int]) -> bool:
+    return low is not None and high is not None and low > high
+
+
 def _row_formula(row: LinCon) -> Formula:
     """A folded row as the formula the solver asserts."""
     if row.is_ground():
@@ -937,9 +1268,11 @@ class IntervalOracle(FeasibilityOracle):
 
     ``begin_record`` residualizes the rule set's compiled pack (built once
     per rule set), less the rules the schema bounds entail
-    (:func:`interval_pack`), and folds the result (:class:`_Fold`):
-    single-variable residual constraints collapse into a per-variable
-    *box*, multi-variable ones keep only the strongest bound per linear
+    (:func:`interval_pack`), and folds the result (:func:`fold_pack`,
+    which runs code generated once per fixed-name signature; a record
+    that fixes the same names as an earlier one only does the integer
+    work its values need): single-variable residual constraints collapse
+    into a per-variable *box*, multi-variable ones keep only the strongest bound per linear
     form, and disjunctive residuals are held back symbolically (they only
     inform propagation once all but one branch dies).  Every state then
     drops the rows and disjunctions its own box entails (:func:`_live`):
@@ -1043,8 +1376,8 @@ class IntervalOracle(FeasibilityOracle):
         Each fixed value must lie in its folded bounds."""
         box = fold.box()
         for name, (low, high) in box.items():
-            if low > high or (
-                name in self.fixed and not low <= self.fixed[name] <= high
+            if _empty(low, high) or (
+                name in self.fixed and not _within(self.fixed[name], low, high)
             ):
                 return False
         if fold.refuted():
@@ -1227,14 +1560,20 @@ class IntervalOracle(FeasibilityOracle):
             box = {name: b for name, b in box.items() if name in self.bounds}
         emptied = False
         for name, (low, high) in fold.tight.items():
-            low = 0 if low is None else low
-            high = 0 if high is None else high
-            if low > high:
+            # An off-schema name's end may be open (None) in either box.
+            if low is not None and high is not None and low > high:
                 self._refuted = True
                 return
             prev_low, prev_high = parent.get(name, (low, high))
-            box[name] = merged = (max(low, prev_low), min(high, prev_high))
-            if merged[0] > merged[1] and name not in self.fixed:
+            if prev_low is not None and (low is None or prev_low > low):
+                low = prev_low
+            if prev_high is not None and (high is None or prev_high < high):
+                high = prev_high
+            box[name] = (low, high)
+            if (
+                low is not None and high is not None and low > high
+                and name not in self.fixed
+            ):
                 emptied = True
         self._set_state(box, *_live(box, self.bounds, fold.folded_rows(), disjunctive))
         self._refuted = emptied

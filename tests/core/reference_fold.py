@@ -9,13 +9,16 @@ schema bounds.  ``ReferenceIntervalOracle`` in ``test_feasible.py`` folds
 through them, and the differential tests there check that the production
 fold (``fold_pack`` and ``IntervalOracle.fix``) yields exactly their box,
 their rows in their order, and their disjunctions.
+
+:func:`interpreted_fold_pack` is the rule-by-rule begin fold the generated
+``fold_pack`` replaced: one ``_Fold`` method call per pack entry.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core.feasible import Disjunct, _conjuncts, _substitute_simplify
+from repro.core.feasible import Disjunct, _conjuncts, _Fold, _substitute_simplify
 from repro.rules import RuleSet
 from repro.smt import Atom, LinCon
 from repro.smt.simplify import simplify, to_nnf
@@ -35,6 +38,28 @@ def raw_pack(rules: RuleSet):
         else:
             entries.append((None, simplify(to_nnf(formula)), names))
     return tuple(entries)
+
+
+def interpreted_fold_pack(
+    pack, fixed: Mapping[str, int], harvest: bool, bounds: Bounds
+) -> Optional[Tuple[_Fold, List[Disjunct]]]:
+    """``fold_pack``, one entry at a time in pack order."""
+    fold = _Fold(bounds)
+    disjunctive: List[Disjunct] = []
+    for row, tree, names in pack:
+        if names.isdisjoint(fixed):
+            if row is not None:
+                fold.keep(row)
+            elif not fold.tree(tree, names, disjunctive, harvest):
+                return None
+        elif row is not None:
+            if not fold.substitute(row, fixed):
+                return None
+        elif not fold.tree(
+            _substitute_simplify(tree, fixed), names, disjunctive, harvest
+        ):
+            return None
+    return fold, disjunctive
 
 
 def residualize_pack(
@@ -103,7 +128,8 @@ def _fold_lincons(
     Returns (bounds, rows): the rows are the normalized equalities and
     disequalities in input order, then the strongest ``<=`` per form in
     first-seen order; a ground-false input leaves the ground-false marker
-    row in its place.
+    row in its place.  A name outside ``base_bounds`` keeps an end no row
+    bounds open (None).
     """
     bounds: Dict[str, Tuple[int, int]] = dict(base_bounds)
     strongest: Dict[Tuple, LinCon] = {}
@@ -137,12 +163,4 @@ def _fold_lincons(
         # Equalities and disequalities pass through unfolded.
         rows.append(reduced)
     rows.extend(strongest.values())
-    # Close any half-open bounds back to the base domain.
-    closed: Dict[str, Tuple[int, int]] = {}
-    for name, (low, high) in bounds.items():
-        base_low, base_high = base_bounds.get(name, (0, 0))
-        closed[name] = (
-            base_low if low is None else low,
-            base_high if high is None else high,
-        )
-    return closed, rows
+    return bounds, rows

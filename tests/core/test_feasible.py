@@ -1,11 +1,20 @@
 """Feasibility oracle tests: exactness of SMT, soundness of intervals."""
 
+import io
 import itertools
 import random
+import re
+import tokenize
 
 import pytest
-from reference_fold import _fold_lincons, raw_pack, residualize_pack
+from reference_fold import (
+    _fold_lincons,
+    interpreted_fold_pack,
+    raw_pack,
+    residualize_pack,
+)
 
+from repro.core import feasible
 from repro.core.feasible import (
     HybridOracle,
     InfeasibleRecordError,
@@ -321,10 +330,10 @@ class ReferenceIntervalOracle:
                 conjunctive.extend(pure)
         box, rows = _fold_lincons(conjunctive, self.bounds)
         for name, (low, high) in box.items():
-            if name in fixed and not low <= fixed[name] <= high:
-                self.refuted = True
-                return
-            if low > high:
+            interval = Interval(low, high)
+            if interval.is_empty() or (
+                name in fixed and not interval.contains(fixed[name])
+            ):
                 self.refuted = True
                 return
         multi = []
@@ -357,9 +366,11 @@ class ReferenceIntervalOracle:
         self._refold(formulas, {variable: value})
         merged = {}
         for name, (low, high) in self.box.items():
-            prev_low, prev_high = previous_box.get(name, (low, high))
-            merged[name] = (max(low, prev_low), min(high, prev_high))
-            if merged[name][0] > merged[name][1] and name not in self.fixed:
+            interval = Interval(low, high).intersect(
+                Interval(*previous_box.get(name, (low, high)))
+            )
+            merged[name] = (interval.lower, interval.upper)
+            if interval.is_empty() and name not in self.fixed:
                 self.refuted = True
         self.box = merged
 
@@ -595,6 +606,21 @@ class TestCompiledIntervalTier:
         wider = interval_pack(rules, {"x": (0, 20), "y": (0, 10)})
         assert wider == pack
 
+    @pytest.mark.parametrize("tier", [SmtOracle, IntervalOracle, HybridOracle])
+    def test_off_schema_open_end_stays_open(self, tier):
+        """A bound no rule gives an off-schema name stays open: ``w >= 5``
+        leaves ``w`` unbounded above, ``w <= 3`` unbounded below."""
+        x, w = IntVar("x"), IntVar("w")
+        bounds = {"x": (0, 10)}
+        for formulas in ([Ge(w, 5), Le(x + w, 20)], [Le(w, 3), Ge(x - w, 5)]):
+            rules = RuleSet(
+                [Rule(f"r{i}", f, kind="test") for i, f in enumerate(formulas)]
+            )
+            oracle = tier(rules, bounds)
+            oracle.begin_record({})
+            assert oracle.feasible_set("x") == FeasibleSet.from_interval(0, 10)
+            assert oracle.confirm("x", 0)
+
     def test_rule_added_after_compiling_recompiles(self):
         rules = paper_rules(CONFIG)
         pack = compiled_pack(rules)
@@ -719,3 +745,135 @@ class TestFoldMatchesReference:
         for seed in range(40):
             _drive(rules, CORNER_BOUNDS, prompts, seed, fixes_per_record=3)
         assert propagation_log and all(propagation_log)
+
+
+# Variable names a generated fold must carry as quoted literals only: quotes,
+# backslashes, newlines, Python keywords and the generator's own local names.
+_AWKWARD = ["it's", 'say "hi"', "back\\slash", "new\nline", "class", "None",
+            "f", "fold", "v0", "K1"]
+# What a generated fold's source may hold besides quoted names and ints.
+_FOLD_NAMES = {"def", "fold", "f", "return", "None", "True", "False", "if",
+               "and", "not", "else", "pass", "Fold", "B", "rows", "forms",
+               "disj", "LinCon", "substitute", "append", "get", "const",
+               "tight", "keep", "tree", "x", "c", "s", "t", "p", "is", "or"}
+
+
+def _awkward_rules(seed):
+    """Rows, guardable Ors and nested trees over awkward names."""
+    rng = random.Random(seed)
+
+    def atom():
+        names = rng.sample(_AWKWARD, rng.randint(1, 3))
+        expr = sum((rng.choice([-3, -2, -1, 1, 2, 3]) * IntVar(n) for n in names),
+                   LinExpr({}, 0))
+        return rng.choice([Le, Ge, Eq])(expr, rng.randint(-4, 8))
+
+    formulas = []
+    for _ in range(40):
+        shape = rng.random()
+        if shape < 0.5:
+            formulas.append(atom())
+        elif shape < 0.85:
+            formulas.append(Or(*[atom() for _ in range(rng.randint(2, 3))]))
+        else:
+            formulas.append(Implies(atom(), And(atom(), Or(atom(), atom()))))
+    return RuleSet(
+        [Rule(f"a{i}", formula, kind="test") for i, formula in enumerate(formulas)]
+    )
+
+
+def _assert_same_fold(mine, theirs, key):
+    assert (mine is None) == (theirs is None), key
+    if mine is not None:
+        assert list(mine[0].box().items()) == list(theirs[0].box().items()), key
+        assert mine[0].folded_rows() == theirs[0].folded_rows(), key
+        assert mine[1] == theirs[1], key
+
+
+class TestGeneratedFold:
+    """The generated begin fold against the rule-by-rule fold it replaced
+    and the whole-pack reference (``TestFoldMatchesReference._check``)."""
+
+    def test_awkward_names_stay_quoted(self, monkeypatch):
+        sources = []
+        real_compile = compile
+
+        def spy(source, *args):
+            sources.append(source)
+            return real_compile(source, *args)
+
+        monkeypatch.setattr(feasible, "compile", spy, raising=False)
+        full = {name: (-2, 6) for name in _AWKWARD}
+        assignments = TestFoldMatchesReference._assignments(full, 13, 60)
+        # With every name bounded, and with the last one off the schema.
+        for bounds in (full, {name: full[name] for name in _AWKWARD[:-1]}):
+            for seed in range(4):
+                rules = _awkward_rules(seed)
+                TestFoldMatchesReference._check(rules, bounds, assignments)
+                pack = compiled_pack(rules)
+                for fixed in assignments:
+                    for harvest in (False, True):
+                        _assert_same_fold(
+                            fold_pack(pack, fixed, harvest, bounds),
+                            interpreted_fold_pack(pack, fixed, harvest, bounds),
+                            fixed,
+                        )
+        assert sources
+        quoted = {repr(name) for name in _AWKWARD} | {"'<='", "'=='"}
+        local = re.compile(r"[vlhK][0-9]+")
+        for source in sources:
+            for token in tokenize.generate_tokens(io.StringIO(source).readline):
+                if token.type == tokenize.NAME:
+                    assert token.string in _FOLD_NAMES or local.fullmatch(
+                        token.string
+                    ), token
+                elif token.type == tokenize.NUMBER:
+                    assert token.string.isdigit(), token
+                elif token.type == tokenize.STRING:
+                    assert token.string in quoted, token
+
+    def test_forms_after_guards_and_method_calls(self):
+        """A form a guard may place, or a method call may place, is not
+        known to be absent or to hold a static row afterwards."""
+        x, y, w, t = IntVar("x"), IntVar("y"), IntVar("w"), IntVar("t")
+        formulas = [
+            Or(Le(t, 5), Le(x + y, 3)),  # places x + y only when t > 5
+            Le(x + y, 8),
+            And(Le(2 * x - y, 1), Le(w, 3)),  # over off-schema w: a call
+            Le(2 * x - y, 6),
+        ]
+        rules = RuleSet(
+            [Rule(f"g{i}", f, kind="test") for i, f in enumerate(formulas)]
+        )
+        bounds = {"x": (0, 9), "y": (0, 9), "t": (0, 9)}
+        assignments = [{}, {"t": 2}, {"t": 7}, {"t": 7, "w": 1}, {"w": 0}]
+        TestFoldMatchesReference._check(rules, bounds, assignments)
+        pack = compiled_pack(rules)
+        for fixed in assignments:
+            for harvest in (False, True):
+                _assert_same_fold(
+                    fold_pack(pack, fixed, harvest, bounds),
+                    interpreted_fold_pack(pack, fixed, harvest, bounds),
+                    fixed,
+                )
+
+    def test_signature_churn_regenerates_identical_folds(self):
+        rules = paper_rules(CONFIG)
+        pack = compiled_pack(rules)
+        names = sorted(BOUNDS)
+        signatures = list(itertools.combinations(names, 2))
+        assert len(signatures) > feasible._MAX_FOLDS
+        rng = random.Random(5)
+        firsts = {}
+        for signature in signatures:
+            fixed = {name: rng.randint(*BOUNDS[name]) for name in signature}
+            TestFoldMatchesReference._check(rules, BOUNDS, [fixed])
+            assert len(pack.folds) <= feasible._MAX_FOLDS
+            firsts.setdefault(signature, fixed)
+        oldest = signatures[0]
+        key = (frozenset(oldest), True, tuple(BOUNDS.items()))
+        assert key not in pack.folds
+        fixed = firsts[oldest]
+        again = fold_pack(pack, fixed, True, BOUNDS)
+        assert key in pack.folds and len(pack.folds) <= feasible._MAX_FOLDS
+        _assert_same_fold(again, interpreted_fold_pack(pack, fixed, True, BOUNDS), fixed)
