@@ -24,8 +24,8 @@ Rules of the gate:
   ``bounded`` must not flip false, ``boundary_violations`` and
   ``units_lost``/``failed`` must not increase.
 
-Serving configs are matched by their identity keys (lanes, policy,
-offered rps, request count); baseline rows with no candidate match are
+Serving configs are matched by their identity keys (lanes, offered
+rps, request count); baseline rows with no candidate match are
 reported but do not fail the gate (the candidate may run a trimmed
 sweep), while a candidate that matches *nothing* is a usage error.
 
@@ -121,8 +121,7 @@ def _check_bool(findings: List[Finding], where: str, metric: str,
 
 
 def _serving_key(row: Mapping) -> Tuple:
-    return (row.get("lanes"), row.get("policy"),
-            row.get("offered_rps"), row.get("requests"))
+    return (row.get("lanes"), row.get("offered_rps"), row.get("requests"))
 
 
 def _pool_key(row: Mapping) -> Tuple:

@@ -14,7 +14,6 @@ Subcommands mirror the library's main entry points::
     python -m repro.cli stream   --model model.json --rules rules.json \
                                  --input events.jsonl --late-policy patch
     python -m repro.cli rules    list --dir packs/
-    python -m repro.cli bench-serving --out BENCH_serving.json
     python -m repro.cli chaos    --workers 4 --requests 24
     python -m repro.cli obs-report --trace trace.jsonl
 
@@ -24,7 +23,8 @@ single-line ``key=value`` records -- every one of them rendered by
 :func:`repro.obs.kv.format_kv` so scrapers face exactly one quoting
 convention; stdout stays pure JSON for scripting.  ``--trace-out`` on
 ``impute``/``synth`` writes a JSONL span trace that ``obs-report``
-aggregates into the per-stage solver-vs-LM breakdown.
+aggregates into the per-stage solver-vs-LM breakdown.  The serving load
+bench is a script, ``benchmarks/bench_serving.py``, like every other bench.
 """
 
 from __future__ import annotations
@@ -183,10 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission queue capacity before 429 backpressure",
     )
     serve_cmd.add_argument(
-        "--admit-policy", choices=["continuous", "wave"], default="continuous",
-        help="mid-flight admission (continuous) or wave barriers (wave)",
-    )
-    serve_cmd.add_argument(
         "--workers", type=_nonnegative_int, default=0,
         help="supervised worker processes (0 = single-process scheduler; "
         "with N > 0, --lanes means lanes per worker)",
@@ -323,46 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     rules_promote.add_argument("ref", type=_rule_pack_ref,
                                metavar="NAME@VERSION")
     rules_promote.add_argument("--dir", required=True, type=Path)
-
-    bench_cmd = sub.add_parser(
-        "bench-serving", help="open-loop Poisson load benchmark of the server"
-    )
-    bench_cmd.add_argument(
-        "--out", type=Path, default=Path("BENCH_serving.json")
-    )
-    bench_cmd.add_argument(
-        "--loads", type=float, nargs="+", default=[300.0, 600.0],
-        help="offered loads in requests/sec (one run per load per policy)",
-    )
-    bench_cmd.add_argument(
-        "--lanes", type=_positive_int, nargs="+", default=[4]
-    )
-    bench_cmd.add_argument(
-        "--requests", type=_positive_int, default=150,
-        help="requests replayed per configuration",
-    )
-    bench_cmd.add_argument("--seed", type=int, default=7)
-    bench_cmd.add_argument(
-        "--timeout-ms", type=float, default=None,
-        help="optional per-request deadline in milliseconds",
-    )
-    bench_cmd.add_argument(
-        "--workers", type=_positive_int, nargs="+", default=None,
-        help="also bench the supervised worker pool at these worker counts",
-    )
-    bench_cmd.add_argument(
-        "--kill-worker-at", type=float, default=None,
-        help="with --workers: SIGKILL one worker this many seconds into an "
-        "extra run and report the before/during/after latency split",
-    )
-    bench_cmd.add_argument(
-        "--tenants", type=str, nargs="*", default=None,
-        help="also run a mixed-tenant scenario striping requests across "
-        "these tenant specs -- NAME (imputation) or NAME:synthesize -- "
-        "(no names = paper-R1-R3 + domain-bounds + "
-        "domain-bounds:synthesize); reports per-tenant latency and byte "
-        "parity",
-    )
 
     chaos_cmd = sub.add_parser(
         "chaos",
@@ -855,7 +811,6 @@ def _cmd_serve(args) -> int:
             enforcer,
             lanes=args.lanes,
             queue_depth=args.queue_depth,
-            admit_policy=args.admit_policy,
             rule_registry=registry,
             latency_buckets=latency_buckets,
             slo=slo,
@@ -871,7 +826,6 @@ def _cmd_serve(args) -> int:
         ("workers", args.workers),
         ("lanes", args.lanes),
         ("queue_depth", args.queue_depth),
-        ("admit_policy", args.admit_policy),
     ])
     with _graceful_sigterm(), _span_sink(args), server:
         try:
@@ -1015,55 +969,6 @@ def _cmd_stream(args) -> int:
     return 0
 
 
-def _cmd_bench_serving(args) -> int:
-    from .serve import (
-        format_pool_report,
-        format_report,
-        format_tenant_report,
-        run_mixed_tenant_bench,
-        run_pool_scaling_bench,
-        run_serving_bench,
-    )
-
-    report = run_serving_bench(
-        offered_loads=args.loads,
-        lane_counts=args.lanes,
-        requests=args.requests,
-        seed=args.seed,
-        timeout_ms=args.timeout_ms,
-    )
-    print(format_report(report))
-    if args.workers:
-        pool_report = run_pool_scaling_bench(
-            worker_counts=args.workers,
-            offered_loads=args.loads,
-            requests=args.requests,
-            seed=args.seed,
-            timeout_ms=args.timeout_ms,
-            kill_worker_at=args.kill_worker_at,
-        )
-        report["worker_pool"] = pool_report
-        print()
-        print(format_pool_report(pool_report))
-    if args.tenants is not None:
-        tenant_report = run_mixed_tenant_bench(
-            tenants=tuple(args.tenants) or (
-                "paper-R1-R3", "domain-bounds", "domain-bounds:synthesize"
-            ),
-            offered_load=max(args.loads),
-            lanes=max(args.lanes),
-            requests=min(args.requests, 120),
-            seed=args.seed,
-            timeout_ms=args.timeout_ms,
-        )
-        report["mixed_tenant"] = tenant_report
-        print()
-        print(format_tenant_report(tenant_report))
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    emit_kv("bench_serving", [("out", args.out)])
-    return 0
-
-
 def _cmd_chaos(args) -> int:
     from .serve import format_chaos_report, run_chaos
 
@@ -1152,7 +1057,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "stream": _cmd_stream,
     "rules": _cmd_rules,
-    "bench-serving": _cmd_bench_serving,
     "chaos": _cmd_chaos,
     "obs-report": _cmd_obs_report,
 }

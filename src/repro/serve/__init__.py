@@ -15,8 +15,9 @@ into a service that takes live traffic:
   (``POST /v1/impute``, ``POST /v1/synthesize``, ``GET /healthz``,
   ``GET /metrics``);
 * :class:`ServeClient` -- the matching zero-dependency client;
-* :func:`run_serving_bench` -- the open-loop Poisson load harness behind
-  ``BENCH_serving.json``.
+* :func:`run_serving_bench`, :func:`run_pool_scaling_bench` and
+  :func:`run_mixed_tenant_bench` -- the open-loop Poisson load harness
+  that ``benchmarks/bench_serving.py`` drives into ``BENCH_serving.json``.
 
 Start one from the CLI with ``python -m repro.cli serve`` (see README,
 "Serving").

@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
-from ..core import EnforcerConfig, JitEnforcer
+from ..core import JitEnforcer
 from ..errors import QueueFull, WorkerPoolUnavailable
 from ..testing.faults import kill_worker
 from .harness import _build_setting, _clear_process_memos
@@ -53,20 +53,14 @@ def run_chaos(
     wait_timeout: float = 120.0,
 ) -> Dict[str, object]:
     """One chaos run (see module docstring); returns the audit report."""
-    dataset, model, rules, fallback, prompts = _build_setting(seed)
-    _clear_process_memos(model)
+    setting = _build_setting(seed)
+    _clear_process_memos(setting.model)
 
     def factory() -> JitEnforcer:
-        return JitEnforcer(
-            model, rules, dataset.config, EnforcerConfig(seed=13),
-            fallback_rules=fallback,
-        )
+        return setting.enforcer(seed=13)
 
     def reference(request_seed: int, coarse) -> List[Dict[str, int]]:
-        serial = JitEnforcer(
-            model, rules, dataset.config, EnforcerConfig(seed=request_seed),
-            fallback_rules=fallback,
-        )
+        serial = setting.enforcer(seed=request_seed)
         return [dict(serial.impute_record(coarse).values)]
 
     started = time.monotonic()
@@ -86,7 +80,7 @@ def run_chaos(
         shed = rejected = 0
         specs = []
         for index in range(requests):
-            coarse = prompts[index % len(prompts)]
+            coarse = setting.prompts[index % len(setting.prompts)]
             specs.append((base_seed + index, coarse))
             try:
                 handles.append(pool.submit(RequestSpec(

@@ -1,41 +1,50 @@
-"""Open-loop Poisson load harness for the serving scheduler.
+"""Open-loop Poisson load harness for the scheduler and the worker pool.
 
 Replays a fixed arrival schedule (exponential inter-arrival gaps, i.e. a
 Poisson process at the offered rate) against an in-process
-:class:`~repro.serve.scheduler.ContinuousBatchingScheduler` and measures
-end-to-end request latency -- queueing included, which is the entire
-point: open-loop load does not slow down when the server does, so the
-latency distribution honestly reflects saturation.
+:class:`~repro.serve.scheduler.ContinuousBatchingScheduler` or a
+:class:`~repro.serve.supervisor.WorkerPool` and measures end-to-end
+request latency -- queueing included, which is the entire point:
+open-loop load does not slow down when the server does, so the latency
+distribution honestly reflects saturation.
 
-Every (lanes, offered-load) point runs once per admission policy with the
-*same* arrival schedule and the same per-request seeds, so the
-``wave``-vs-``continuous`` comparison is paired: identical records at
-identical times; only the admission discipline differs.  Process-wide
-memos are cleared before every run so no configuration inherits another's
-warm caches.
+Every configuration at one offered load replays the *same* arrival
+schedule with the same per-request seeds, and process-wide memos are
+cleared before every run so no configuration inherits another's warm
+caches.
 
-The report feeds ``BENCH_serving.json`` (see ``benchmarks/bench_serving.py``
-and ``python -m repro.cli bench-serving``).
+The report feeds ``BENCH_serving.json`` through
+``benchmarks/bench_serving.py``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from ..core import EnforcerConfig, JitEnforcer
 from ..core import session as _session_module
 from ..core.transition import DigitTransitionSystem
-from ..data import build_dataset
+from ..data import TelemetryConfig, build_dataset
 from ..errors import QueueFull, WorkerPoolUnavailable
 from ..lm import NgramLM
 from ..rules import domain_bound_rules, paper_rules
-from .scheduler import ContinuousBatchingScheduler
+from .scheduler import ContinuousBatchingScheduler, _percentile
 from .types import DONE, EXPIRED, RequestSpec, ServeRequest
 
 __all__ = [
+    "DEFAULT_TENANTS",
     "run_serving_bench",
     "run_pool_scaling_bench",
     "run_mixed_tenant_bench",
@@ -43,6 +52,10 @@ __all__ = [
     "format_pool_report",
     "format_tenant_report",
 ]
+
+#: The mixed-tenant run's default tenants: two imputation packs plus
+#: synthesis traffic under one of them.
+DEFAULT_TENANTS = ("paper-R1-R3", "domain-bounds", "domain-bounds:synthesize")
 
 
 def _clear_process_memos(model) -> None:
@@ -54,176 +67,203 @@ def _clear_process_memos(model) -> None:
     _session_module._MASK_MEMO.clear()
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    rank = max(0, min(len(sorted_values) - 1, int(q * len(sorted_values))))
-    return sorted_values[rank]
+@dataclass(frozen=True)
+class _Setting:
+    """The bench's fixed model, rule packs and prompt cycle."""
+
+    config: TelemetryConfig
+    model: NgramLM
+    rules: list
+    fallback: list
+    prompts: list
+
+    def enforcer(self, seed: int = 29) -> JitEnforcer:
+        return JitEnforcer(
+            self.model, self.rules, self.config, EnforcerConfig(seed=seed),
+            fallback_rules=self.fallback,
+        )
+
+    def spec(
+        self,
+        index: int,
+        timeout_ms: Optional[float],
+        kind: str = "impute",
+        rule_set: Optional[str] = None,
+    ) -> RequestSpec:
+        """Request ``index`` of a schedule: seed ``1000 + index``, the
+        prompts cycled for imputation."""
+        return RequestSpec(
+            kind,
+            coarse=(
+                self.prompts[index % len(self.prompts)]
+                if kind == "impute"
+                else None
+            ),
+            seed=1000 + index,
+            timeout_ms=timeout_ms,
+            rule_set=rule_set,
+        )
 
 
-def _build_setting(seed: int):
+def _build_setting(seed: int) -> _Setting:
+    """Build the setting, then run a warm pass outside any timing."""
     dataset = build_dataset(
         num_train_racks=4, num_test_racks=1, windows_per_rack=40, seed=seed
     )
-    model = NgramLM(order=6).fit(dataset.train_texts())
-    rules = paper_rules(dataset.config)
-    fallback = [domain_bound_rules(dataset.config)]
-    prompts = [w.coarse() for w in dataset.test_windows()[:8]]
-    return dataset, model, rules, fallback, prompts
+    setting = _Setting(
+        config=dataset.config,
+        model=NgramLM(order=6).fit(dataset.train_texts()),
+        rules=paper_rules(dataset.config),
+        fallback=[domain_bound_rules(dataset.config)],
+        prompts=[w.coarse() for w in dataset.test_windows()[:8]],
+    )
+    warm = setting.enforcer(seed=3)
+    for prompt in setting.prompts[:4]:
+        warm.impute_record(prompt)
+    return setting
 
 
-def _run_one(
-    model,
-    rules,
-    fallback,
-    config,
-    prompts,
-    arrivals: Sequence[float],
-    lanes: int,
-    policy: str,
-    queue_depth: int,
-    timeout_ms: Optional[float],
-) -> Dict[str, object]:
-    """One measured run: replay ``arrivals`` and collect the distribution."""
-    _clear_process_memos(model)
-    enforcer = JitEnforcer(
-        model, rules, config, EnforcerConfig(seed=29), fallback_rules=fallback
-    )
-    scheduler = ContinuousBatchingScheduler(
-        enforcer, lanes=lanes, queue_depth=queue_depth, admit_policy=policy
-    )
-    handles: List[Optional[ServeRequest]] = []
-    rejected = 0
-    with scheduler:
-        start = time.monotonic()
-        for index, offset in enumerate(arrivals):
-            delay = start + offset - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            spec = RequestSpec(
-                "impute",
-                coarse=prompts[index % len(prompts)],
-                seed=1000 + index,
-                timeout_ms=timeout_ms,
-            )
-            try:
-                handles.append(scheduler.submit(spec))
-            except QueueFull:
-                rejected += 1
-                handles.append(None)
-        for handle in handles:
-            if handle is not None:
-                handle.wait(timeout=120)
-        metrics = scheduler.metrics()
-    latencies = sorted(
-        handle.latency_ms
-        for handle in handles
-        if handle is not None and handle.status == DONE
-    )
-    completed = len(latencies)
-    expired = sum(
-        1 for h in handles if h is not None and h.status == EXPIRED
-    )
-    finish_times = [
-        h.finished_at
-        for h in handles
-        if h is not None and h.finished_at is not None
-    ]
-    makespan = (max(finish_times) - start) if finish_times else 0.0
-    entry: Dict[str, object] = {
-        "lanes": lanes,
-        "policy": policy,
-        "offered_rps": None,  # filled by the caller
-        "requests": len(arrivals),
-        "completed": completed,
-        "rejected": rejected,
-        "expired": expired,
-        "failed": len(arrivals) - completed - rejected - expired,
-        "throughput_rps": round(completed / makespan, 2) if makespan else 0.0,
-        "lane_occupancy": metrics["lm"]["lane_occupancy"],
-        "cache_hit_rate": metrics["oracle_cache"]["hit_rate"],
+def _schedules(
+    offered_loads: Iterable[float], requests: int, seed: int
+) -> Dict[float, List[float]]:
+    """One Poisson arrival schedule (offsets in seconds) per offered load."""
+    rng = np.random.default_rng(seed)
+    return {
+        rate: np.cumsum(rng.exponential(1.0 / rate, size=requests)).tolist()
+        for rate in offered_loads
     }
+
+
+@dataclass
+class _Replay:
+    """One replay's handles and submit offsets, keyed by arrival index."""
+
+    start: float
+    handles: Dict[int, Optional[ServeRequest]]
+    offsets: Dict[int, float]
+    rejected: int
+    shed: int
+
+    def throughput_rps(self) -> float:
+        """Completed requests per second from start to the last finish."""
+        handles = [h for h in self.handles.values() if h is not None]
+        finished = [
+            h.finished_at for h in handles if h.finished_at is not None
+        ]
+        completed = sum(1 for h in handles if h.status == DONE)
+        makespan = (max(finished) - self.start) if finished else 0.0
+        return round(completed / makespan, 2) if makespan else 0.0
+
+
+def _replay(
+    submit: Callable[[RequestSpec], ServeRequest],
+    arrivals: Sequence[float],
+    spec_for: Callable[[int], Optional[RequestSpec]],
+    on_arrival: Optional[Callable[[float], None]] = None,
+) -> _Replay:
+    """Submit ``spec_for(i)`` at arrival offset ``i``, then wait on all.
+
+    ``spec_for`` returning ``None`` skips that arrival; ``on_arrival``
+    sees each submit's offset from the start, just before the submit.
+    A refused submit (queue full, or every worker down) is counted and
+    leaves a ``None`` handle.
+    """
+    handles: Dict[int, Optional[ServeRequest]] = {}
+    offsets: Dict[int, float] = {}
+    rejected = shed = 0
+    start = time.monotonic()
+    for index, offset in enumerate(arrivals):
+        spec = spec_for(index)
+        if spec is None:
+            continue
+        delay = start + offset - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+        offsets[index] = time.monotonic() - start
+        if on_arrival is not None:
+            on_arrival(offsets[index])
+        try:
+            handles[index] = submit(spec)
+        except QueueFull:
+            rejected += 1
+            handles[index] = None
+        except WorkerPoolUnavailable:
+            shed += 1
+            handles[index] = None
+    for handle in handles.values():
+        if handle is not None:
+            handle.wait(timeout=120)
+    return _Replay(start, handles, offsets, rejected, shed)
+
+
+def _latency(handles: Iterable[Optional[ServeRequest]]) -> Dict[str, object]:
+    """``completed`` plus the completed requests' p50/p99/mean/max in ms."""
+    latencies = sorted(
+        h.latency_ms for h in handles if h is not None and h.status == DONE
+    )
+    summary: Dict[str, object] = {"completed": len(latencies)}
     if latencies:
-        entry.update(
+        summary.update(
             p50_ms=round(_percentile(latencies, 0.50), 2),
             p99_ms=round(_percentile(latencies, 0.99), 2),
-            mean_ms=round(sum(latencies) / completed, 2),
+            mean_ms=round(sum(latencies) / len(latencies), 2),
             max_ms=round(latencies[-1], 2),
         )
-    return entry
+    return summary
 
 
 def run_serving_bench(
     offered_loads: Sequence[float] = (300.0, 600.0),
     lane_counts: Sequence[int] = (4,),
-    policies: Sequence[str] = ("wave", "continuous"),
     requests: int = 150,
     seed: int = 7,
     timeout_ms: Optional[float] = None,
 ) -> Dict[str, object]:
-    """Throughput vs latency across offered loads, lane counts, policies.
+    """Throughput vs latency across offered loads and lane counts.
 
-    Returns a JSON-able report with one entry per configuration plus a
-    paired wave-vs-continuous p99 comparison per (lanes, load) point.
+    Returns a JSON-able report with one entry per (lanes, load) point.
     """
-    dataset, model, rules, fallback, prompts = _build_setting(seed)
-
-    # Warm pass outside timing: touch every code path once.
-    warm = JitEnforcer(
-        model, rules, dataset.config, EnforcerConfig(seed=3),
-        fallback_rules=fallback,
-    )
-    for prompt in prompts[:4]:
-        warm.impute_record(prompt)
-
-    rng = np.random.default_rng(seed)
-    schedules = {
-        rate: np.cumsum(rng.exponential(1.0 / rate, size=requests)).tolist()
-        for rate in offered_loads
-    }
-
+    setting = _build_setting(seed)
+    schedules = _schedules(offered_loads, requests, seed)
     configs: List[Dict[str, object]] = []
-    comparisons: List[Dict[str, object]] = []
     for lanes in lane_counts:
         for rate in offered_loads:
-            by_policy: Dict[str, Dict[str, object]] = {}
-            for policy in policies:
-                entry = _run_one(
-                    model,
-                    rules,
-                    fallback,
-                    dataset.config,
-                    prompts,
+            _clear_process_memos(setting.model)
+            with ContinuousBatchingScheduler(
+                setting.enforcer(), lanes=lanes, queue_depth=max(64, requests)
+            ) as scheduler:
+                run = _replay(
+                    scheduler.submit,
                     schedules[rate],
-                    lanes=lanes,
-                    policy=policy,
-                    queue_depth=max(64, requests),
-                    timeout_ms=timeout_ms,
+                    lambda index: setting.spec(index, timeout_ms),
                 )
-                entry["offered_rps"] = rate
-                configs.append(entry)
-                by_policy[policy] = entry
-            if "wave" in by_policy and "continuous" in by_policy:
-                wave_p99 = by_policy["wave"].get("p99_ms")
-                cont_p99 = by_policy["continuous"].get("p99_ms")
-                comparisons.append(
-                    {
-                        "lanes": lanes,
-                        "offered_rps": rate,
-                        "wave_p99_ms": wave_p99,
-                        "continuous_p99_ms": cont_p99,
-                        "continuous_wins_p99": (
-                            wave_p99 is not None
-                            and cont_p99 is not None
-                            and cont_p99 < wave_p99
-                        ),
-                    }
-                )
+                metrics = scheduler.metrics()
+            latency = _latency(run.handles.values())
+            expired = sum(
+                1
+                for h in run.handles.values()
+                if h is not None and h.status == EXPIRED
+            )
+            configs.append({
+                "lanes": lanes,
+                "offered_rps": rate,
+                "requests": requests,
+                **latency,
+                "rejected": run.rejected,
+                "expired": expired,
+                "failed": (
+                    requests - latency["completed"] - run.rejected - expired
+                ),
+                "throughput_rps": run.throughput_rps(),
+                "lane_occupancy": metrics["lm"]["lane_occupancy"],
+                "cache_hit_rate": metrics["oracle_cache"]["hit_rate"],
+            })
     return {
-        "workload": f"cyclic-impute-{len(prompts)}",
+        "workload": f"cyclic-impute-{len(setting.prompts)}",
         "requests": requests,
         "seed": seed,
         "timeout_ms": timeout_ms,
         "configs": configs,
-        "comparisons": comparisons,
     }
 
 
@@ -239,7 +279,7 @@ def _parse_tenant(spec: str) -> Tuple[str, str]:
 
 
 def run_mixed_tenant_bench(
-    tenants: Sequence[str] = ("paper-R1-R3", "domain-bounds"),
+    tenants: Sequence[str] = DEFAULT_TENANTS,
     offered_load: float = 300.0,
     lanes: int = 4,
     requests: int = 120,
@@ -256,87 +296,41 @@ def run_mixed_tenant_bench(
     determinism contract end to end: sharing lanes with other tenants must
     not change a single record byte.
 
-    A tenant is ``"name"`` (imputation traffic, the default) or
-    ``"name:synthesize"`` (open-ended generation under that pack), so one
-    schedule can mix the two request kinds the way a real multi-tenant
-    deployment does.  Tenants naming the same pack share its quota and
-    metrics bucket; the report rows stay separate per spec.
+    A tenant is ``"name"`` (imputation traffic) or ``"name:synthesize"``
+    (open-ended generation under that pack), so one schedule can mix the
+    two request kinds the way a real multi-tenant deployment does.
+    Tenants naming the same pack share its quota and metrics bucket; the
+    report rows stay separate per spec.
     """
     from ..rules import builtin_registry
 
-    dataset, model, rules, fallback, prompts = _build_setting(seed)
-    registry = builtin_registry(dataset.config)
-    parsed = [_parse_tenant(tenant) for tenant in tenants]
-    for name, _ in parsed:
-        registry.resolve(name)  # fail fast on a bad tenant name
-
-    warm = JitEnforcer(
-        model, rules, dataset.config, EnforcerConfig(seed=3),
-        fallback_rules=fallback,
-    )
-    for prompt in prompts[:4]:
-        warm.impute_record(prompt)
-
-    rng = np.random.default_rng(seed)
-    arrivals = np.cumsum(
-        rng.exponential(1.0 / offered_load, size=requests)
-    ).tolist()
+    setting = _build_setting(seed)
+    registry = builtin_registry(setting.config)
+    for tenant in tenants:
+        registry.resolve(_parse_tenant(tenant)[0])  # fail fast on a bad name
+    arrivals = _schedules([offered_load], requests, seed)[offered_load]
     assignment = [tenants[i % len(tenants)] for i in range(requests)]
 
-    def replay(only: Optional[str]) -> Dict[int, Optional[ServeRequest]]:
+    def replay(only: Optional[str]) -> Tuple[_Replay, Dict[str, object]]:
         """One run over the schedule, restricted to ``only`` if given."""
-        _clear_process_memos(model)
-        enforcer = JitEnforcer(
-            model, rules, dataset.config, EnforcerConfig(seed=29),
-            fallback_rules=fallback,
-        )
-        scheduler = ContinuousBatchingScheduler(
-            enforcer,
+
+        def spec_for(index: int) -> Optional[RequestSpec]:
+            if only is not None and assignment[index] != only:
+                return None
+            name, kind = _parse_tenant(assignment[index])
+            return setting.spec(index, timeout_ms, kind=kind, rule_set=name)
+
+        _clear_process_memos(setting.model)
+        with ContinuousBatchingScheduler(
+            setting.enforcer(),
             lanes=lanes,
             queue_depth=max(64, requests),
             rule_registry=registry,
-        )
-        handles: Dict[int, Optional[ServeRequest]] = {}
-        with scheduler:
-            start = time.monotonic()
-            for index, offset in enumerate(arrivals):
-                if only is not None and assignment[index] != only:
-                    continue
-                delay = start + offset - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                name, kind = _parse_tenant(assignment[index])
-                spec = RequestSpec(
-                    kind,
-                    coarse=(
-                        prompts[index % len(prompts)]
-                        if kind == "impute"
-                        else None
-                    ),
-                    seed=1000 + index,
-                    timeout_ms=timeout_ms,
-                    rule_set=name,
-                )
-                try:
-                    handles[index] = scheduler.submit(spec)
-                except QueueFull:
-                    handles[index] = None
-            for handle in handles.values():
-                if handle is not None:
-                    handle.wait(timeout=120)
-            replay.metrics = scheduler.metrics()
-            replay.makespan = (
-                max(
-                    (h.finished_at for h in handles.values()
-                     if h is not None and h.finished_at is not None),
-                    default=start,
-                ) - start
-            )
-        return handles
+        ) as scheduler:
+            run = _replay(scheduler.submit, arrivals, spec_for)
+            return run, scheduler.metrics()
 
-    mixed = replay(only=None)
-    mixed_metrics = replay.metrics
-    makespan = replay.makespan
+    mixed, mixed_metrics = replay(only=None)
 
     def records_of(handle: Optional[ServeRequest]):
         if handle is None or handle.status != DONE:
@@ -345,50 +339,37 @@ def run_mixed_tenant_bench(
 
     per_tenant: List[Dict[str, object]] = []
     for tenant in tenants:
-        solo = replay(only=tenant)
-        indices = [i for i in sorted(mixed) if assignment[i] == tenant]
+        solo, _ = replay(only=tenant)
+        indices = [i for i in mixed.handles if assignment[i] == tenant]
         parity = all(
-            records_of(mixed[i]) == records_of(solo[i])
+            records_of(mixed.handles[i]) == records_of(solo.handles[i])
             for i in indices
-            if records_of(mixed[i]) is not None
-            and records_of(solo[i]) is not None
-        )
-        latencies = sorted(
-            mixed[i].latency_ms
-            for i in indices
-            if mixed[i] is not None and mixed[i].status == DONE
+            if records_of(mixed.handles[i]) is not None
+            and records_of(solo.handles[i]) is not None
         )
         name, kind = _parse_tenant(tenant)
-        row: Dict[str, object] = {
+        per_tenant.append({
             "tenant": tenant,
             "pack": name,
             "kind": kind,
             "requests": len(indices),
-            "completed": len(latencies),
+            **_latency(mixed.handles[i] for i in indices),
             "byte_parity": parity,
             # Scheduler metrics are keyed by pack name, so tenants sharing
             # a pack (impute + synthesize) see one combined bucket here.
             "metrics": mixed_metrics["tenants"].get(name),
-        }
-        if latencies:
-            row.update(
-                p50_ms=round(_percentile(latencies, 0.50), 2),
-                p99_ms=round(_percentile(latencies, 0.99), 2),
-                mean_ms=round(sum(latencies) / len(latencies), 2),
-            )
-        per_tenant.append(row)
+        })
 
-    completed = sum(row["completed"] for row in per_tenant)
     return {
-        "workload": f"cyclic-impute-{len(prompts)}",
+        "workload": f"cyclic-impute-{len(setting.prompts)}",
         "tenants": list(tenants),
         "offered_rps": offered_load,
         "lanes": lanes,
         "requests": requests,
         "seed": seed,
         "timeout_ms": timeout_ms,
-        "completed": completed,
-        "throughput_rps": round(completed / makespan, 2) if makespan else 0.0,
+        "completed": sum(row["completed"] for row in per_tenant),
+        "throughput_rps": mixed.throughput_rps(),
         "byte_parity": all(row["byte_parity"] for row in per_tenant),
         "per_tenant": per_tenant,
     }
@@ -424,151 +405,89 @@ def format_tenant_report(report: Dict[str, object]) -> str:
 
 
 def _run_pool_one(
-    model,
-    rules,
-    fallback,
-    config,
-    prompts,
+    setting: _Setting,
+    offered_rps: float,
     arrivals: Sequence[float],
     workers: int,
     lanes_per_worker: int,
-    queue_depth: int,
     timeout_ms: Optional[float],
     kill_at: Optional[float] = None,
-    kill_slot: int = 0,
 ) -> Dict[str, object]:
     """One measured worker-pool run, optionally with a timed worker kill.
 
-    ``kill_at`` seconds into the replay the ``kill_slot``-th worker gets
-    SIGKILLed -- the p99/error split before/during/after quantifies what a
-    crash costs clients while the supervisor replays and restarts.
+    ``kill_at`` seconds into the replay the first worker gets SIGKILLed --
+    the p99/error split before/during/after quantifies what a crash costs
+    clients while the supervisor replays and restarts.
     """
     from ..testing.faults import kill_worker
+    from .chaos import _wait_for_healthy
     from .supervisor import WorkerPool
 
-    _clear_process_memos(model)
-
-    def factory() -> JitEnforcer:
-        return JitEnforcer(
-            model, rules, config, EnforcerConfig(seed=29),
-            fallback_rules=fallback,
-        )
-
+    _clear_process_memos(setting.model)
     pool = WorkerPool(
-        factory,
+        setting.enforcer,
         workers=workers,
         lanes_per_worker=lanes_per_worker,
-        queue_depth=queue_depth,
+        queue_depth=max(64, len(arrivals)),
         liveness_timeout=1.5,
         backoff_base=0.1,
     )
     if kill_at is not None and arrivals:
-        # The kill check runs inside the arrival loop, so an offset past
-        # the last arrival would never fire.  Clamp it to mid-schedule --
-        # the reported kill_at_s is the offset that actually happened.
+        # The kill check runs at each arrival, so an offset past the last
+        # arrival would never fire.  Clamp it to mid-schedule -- the
+        # reported kill_at_s is the offset that actually happened.
         kill_at = min(kill_at, max(arrivals) * 0.5)
-    handles: List[Optional[ServeRequest]] = []
-    offsets: List[float] = []
-    rejected = shed = 0
-    killed_pid = None
+    killed: List[int] = []
+
+    def kill_once(offset: float) -> None:
+        if not killed and offset >= kill_at:
+            pid = pool.worker_pids()[0]
+            if pid is not None:
+                kill_worker(pid)
+                killed.append(pid)
+
     with pool:
-        # Wait for every worker's enforcer to come up so timing starts at
-        # steady state, not mid-fork.
-        ready_deadline = time.monotonic() + 120
-        while time.monotonic() < ready_deadline:
-            if pool.health()["workers_healthy"] >= workers:
-                break
-            time.sleep(0.02)
-        start = time.monotonic()
-        for index, offset in enumerate(arrivals):
-            delay = start + offset - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            now_offset = time.monotonic() - start
-            if kill_at is not None and killed_pid is None and (
-                now_offset >= kill_at
-            ):
-                pid = pool.worker_pids()[kill_slot % workers]
-                if pid is not None:
-                    kill_worker(pid)
-                    killed_pid = pid
-            spec = RequestSpec(
-                "impute",
-                coarse=prompts[index % len(prompts)],
-                seed=1000 + index,
-                timeout_ms=timeout_ms,
-            )
-            offsets.append(now_offset)
-            try:
-                handles.append(pool.submit(spec))
-            except QueueFull:
-                rejected += 1
-                handles.append(None)
-            except WorkerPoolUnavailable:
-                shed += 1
-                handles.append(None)
-        for handle in handles:
-            if handle is not None:
-                handle.wait(timeout=120)
-        metrics = pool.metrics()
-    latencies = sorted(
-        handle.latency_ms
-        for handle in handles
-        if handle is not None and handle.status == DONE
-    )
-    completed = len(latencies)
-    finish_times = [
-        h.finished_at
-        for h in handles
-        if h is not None and h.finished_at is not None
-    ]
-    makespan = (max(finish_times) - start) if finish_times else 0.0
-    supervision = metrics["supervision"]
+        # Timing starts at steady state, not mid-fork.
+        _wait_for_healthy(pool, workers, timeout=120)
+        run = _replay(
+            pool.submit,
+            arrivals,
+            lambda index: setting.spec(index, timeout_ms),
+            on_arrival=kill_once if kill_at is not None else None,
+        )
+        supervision = pool.metrics()["supervision"]
+    handles = run.handles.values()
     entry: Dict[str, object] = {
         "workers": workers,
         "lanes_per_worker": lanes_per_worker,
-        "offered_rps": None,  # filled by the caller
+        "offered_rps": offered_rps,
         "requests": len(arrivals),
-        "completed": completed,
-        "rejected": rejected,
-        "shed": shed,
+        **_latency(handles),
+        "rejected": run.rejected,
+        "shed": run.shed,
         "failed": sum(
-            1
-            for h in handles
-            if h is not None and h.done and h.status != DONE
+            1 for h in handles if h is not None and h.done and h.status != DONE
         ),
-        "throughput_rps": round(completed / makespan, 2) if makespan else 0.0,
+        "throughput_rps": run.throughput_rps(),
         "worker_crashes": supervision["worker_crashes"],
         "worker_restarts": supervision["worker_restarts"],
         "units_retried": supervision["units_retried"],
         "units_lost": supervision["units_lost"],
     }
-    if latencies:
-        entry.update(
-            p50_ms=round(_percentile(latencies, 0.50), 2),
-            p99_ms=round(_percentile(latencies, 0.99), 2),
-            mean_ms=round(sum(latencies) / completed, 2),
-            max_ms=round(latencies[-1], 2),
-        )
     if kill_at is not None:
         entry["kill_at_s"] = round(kill_at, 4)
-        entry["killed_pid"] = killed_pid
+        entry["killed_pid"] = killed[0] if killed else None
         # On short schedules a fixed 2 s recovery window would swallow
         # every post-kill arrival into "during"; give "after" the second
         # half of the remaining schedule.
         span = max(arrivals) if arrivals else 0.0
         window = min(2.0, max(0.05, (span - kill_at) / 2))
-        entry["phases"] = _phase_split(
-            handles, offsets, kill_at, recovery_window=window
-        )
+        entry["phases"] = _phase_split(run, kill_at, recovery_window=window)
     return entry
 
 
 def _phase_split(
-    handles: List[Optional[ServeRequest]],
-    offsets: List[float],
-    kill_at: float,
-    recovery_window: float = 2.0,
+    run: _Replay, kill_at: float, recovery_window: float = 2.0
 ) -> Dict[str, Dict[str, object]]:
     """Latency/error split by submit time: before / during / after a kill.
 
@@ -581,7 +500,8 @@ def _phase_split(
         "during": {"latencies": [], "errors": 0, "total": 0},
         "after": {"latencies": [], "errors": 0, "total": 0},
     }
-    for handle, offset in zip(handles, offsets):
+    for index, handle in run.handles.items():
+        offset = run.offsets[index]
         if offset < kill_at:
             phase = phases["before"]
         elif offset < kill_at + recovery_window:
@@ -629,20 +549,8 @@ def run_pool_scaling_bench(
     one worker that many seconds in and reports the before/during/after
     p99 and error-rate split.
     """
-    dataset, model, rules, fallback, prompts = _build_setting(seed)
-
-    warm = JitEnforcer(
-        model, rules, dataset.config, EnforcerConfig(seed=3),
-        fallback_rules=fallback,
-    )
-    for prompt in prompts[:4]:
-        warm.impute_record(prompt)
-
-    rng = np.random.default_rng(seed)
-    schedules = {
-        rate: np.cumsum(rng.exponential(1.0 / rate, size=requests)).tolist()
-        for rate in offered_loads
-    }
+    setting = _build_setting(seed)
+    schedules = _schedules(offered_loads, requests, seed)
 
     configs: List[Dict[str, object]] = []
     saturation: List[Dict[str, object]] = []
@@ -651,14 +559,11 @@ def run_pool_scaling_bench(
         best_load = None
         for rate in offered_loads:
             entry = _run_pool_one(
-                model, rules, fallback, dataset.config, prompts,
-                schedules[rate],
+                setting, rate, schedules[rate],
                 workers=workers,
                 lanes_per_worker=lanes_per_worker,
-                queue_depth=max(64, requests),
                 timeout_ms=timeout_ms,
             )
-            entry["offered_rps"] = rate
             configs.append(entry)
             if entry["throughput_rps"] > best_rps:
                 best_rps = entry["throughput_rps"]
@@ -672,21 +577,17 @@ def run_pool_scaling_bench(
 
     kill_scenario: Optional[Dict[str, object]] = None
     if kill_worker_at is not None:
-        workers = max(worker_counts)
         rate = max(offered_loads)
         kill_scenario = _run_pool_one(
-            model, rules, fallback, dataset.config, prompts,
-            schedules[rate],
-            workers=workers,
+            setting, rate, schedules[rate],
+            workers=max(worker_counts),
             lanes_per_worker=lanes_per_worker,
-            queue_depth=max(64, requests),
             timeout_ms=timeout_ms,
             kill_at=kill_worker_at,
         )
-        kill_scenario["offered_rps"] = rate
 
     return {
-        "workload": f"cyclic-impute-{len(prompts)}",
+        "workload": f"cyclic-impute-{len(setting.prompts)}",
         "requests": requests,
         "seed": seed,
         "timeout_ms": timeout_ms,
@@ -751,27 +652,16 @@ def format_report(report: Dict[str, object]) -> str:
         f"Serving bench: {report['workload']}, "
         f"{report['requests']} open-loop Poisson requests per config",
         "",
-        f"{'lanes':>5s} {'load rps':>9s} {'policy':>11s} {'done':>5s} "
-        f"{'rej':>4s} {'thr rps':>8s} {'p50 ms':>8s} {'p99 ms':>8s} "
-        f"{'occup':>6s}",
+        f"{'lanes':>5s} {'load rps':>9s} {'done':>5s} {'rej':>4s} "
+        f"{'thr rps':>8s} {'p50 ms':>8s} {'p99 ms':>8s} {'occup':>6s}",
     ]
     for entry in report["configs"]:
         lines.append(
             f"{entry['lanes']:>5d} {entry['offered_rps']:>9.1f} "
-            f"{entry['policy']:>11s} {entry['completed']:>5d} "
-            f"{entry['rejected']:>4d} {entry['throughput_rps']:>8.1f} "
+            f"{entry['completed']:>5d} {entry['rejected']:>4d} "
+            f"{entry['throughput_rps']:>8.1f} "
             f"{entry.get('p50_ms', float('nan')):>8.1f} "
             f"{entry.get('p99_ms', float('nan')):>8.1f} "
             f"{entry['lane_occupancy']:>6.2f}"
         )
-    if report["comparisons"]:
-        lines.append("")
-        for cmp in report["comparisons"]:
-            verdict = "WIN" if cmp["continuous_wins_p99"] else "loss"
-            lines.append(
-                f"continuous vs wave @ lanes={cmp['lanes']} "
-                f"load={cmp['offered_rps']:.0f}rps: "
-                f"p99 {cmp['continuous_p99_ms']} vs {cmp['wave_p99_ms']} ms "
-                f"[{verdict}]"
-            )
     return "\n".join(lines)

@@ -24,10 +24,6 @@ Determinism: record ``i`` of a request seeded ``s`` samples from
 ``record_rng(s, i)`` and oracle answers are state-keyed, so a request's
 bytes are independent of lane placement, batch-mates, and server load --
 identical to the serial path given the same seed.
-
-``admit_policy="wave"`` restores the barrier (admit only when every lane
-is idle); it exists so the serving benchmark can measure exactly what
-continuous batching buys (p99 at equal offered load).
 """
 
 from __future__ import annotations
@@ -197,7 +193,6 @@ class ContinuousBatchingScheduler:
         enforcer: JitEnforcer,
         lanes: int = 4,
         queue_depth: int = 64,
-        admit_policy: str = "continuous",
         latency_window: int = 4096,
         idle_wait: float = 0.02,
         registry: Optional[MetricsRegistry] = None,
@@ -209,11 +204,8 @@ class ContinuousBatchingScheduler:
     ):
         if lanes < 1:
             raise ValueError("lanes must be >= 1")
-        if admit_policy not in ("continuous", "wave"):
-            raise ValueError(f"unknown admit_policy {admit_policy!r}")
         self.enforcer = enforcer
         self.lanes = lanes
-        self.admit_policy = admit_policy
         self.pool = LanePool(enforcer, lanes)
         self.queue = AdmissionQueue(
             queue_depth,
@@ -444,11 +436,7 @@ class ContinuousBatchingScheduler:
             self.pool.cache.evict_partition(event["hash"])
 
     def _admit(self) -> None:
-        """Place queued work into free lanes (mid-flight by default)."""
-        if self.admit_policy == "wave" and any(
-            slot is not None for slot in self._slots
-        ):
-            return  # wave barrier: no admission until every lane drains
+        """Place queued work into free lanes, mid-flight."""
         now = time.monotonic()
         free = [
             slot_index
@@ -603,7 +591,6 @@ class ContinuousBatchingScheduler:
         queued = self.queue.tenant_depths()
         return {
             "uptime_s": round(uptime, 3),
-            "admit_policy": self.admit_policy,
             "lanes": self.lanes,
             "lanes_busy": busy,
             "queue_depth": len(self.queue),

@@ -3,8 +3,8 @@
 The serving contract extends the engine's: batching *and the server
 itself* are invisible in the bytes.  A request with ``seed=s`` gets
 exactly the records a fresh synchronous ``JitEnforcer`` with
-``EnforcerConfig(seed=s)`` would produce, no matter the admission policy,
-the lane it lands on, or which other requests share its lock-step batch.
+``EnforcerConfig(seed=s)`` would produce, no matter the lane it lands
+on or which other requests share its lock-step batch.
 """
 
 import pytest
@@ -105,27 +105,6 @@ class TestSerialParity:
             results = [h.result(timeout=60) for h in handles]
         for result, expected in zip(results, reference):
             assert result.records == [dict(expected.values)]
-
-    def test_wave_policy_same_bytes_as_continuous(self, setting):
-        dataset, model, rules = setting
-        prompts = [w.coarse() for w in dataset.test_windows()[:4]]
-        outputs = {}
-        for policy in ("continuous", "wave"):
-            with ContinuousBatchingScheduler(
-                _enforcer(dataset, model, rules),
-                lanes=2,
-                admit_policy=policy,
-            ) as scheduler:
-                handles = [
-                    scheduler.submit(
-                        RequestSpec("impute", coarse=c, seed=7 + i)
-                    )
-                    for i, c in enumerate(prompts)
-                ]
-                outputs[policy] = [
-                    h.result(timeout=60).records for h in handles
-                ]
-        assert outputs["continuous"] == outputs["wave"]
 
 
 class TestDeadlinesAndCancellation:

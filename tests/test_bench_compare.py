@@ -22,7 +22,7 @@ SERVING = {
     "requests": 60,
     "seed": 7,
     "configs": [{
-        "lanes": 4, "policy": "wave", "offered_rps": 100.0, "requests": 60,
+        "lanes": 4, "offered_rps": 100.0, "requests": 60,
         "completed": 60, "failed": 0, "expired": 0,
         "throughput_rps": 100.0, "p50_ms": 2.0, "p99_ms": 8.0,
         "mean_ms": 3.0,
